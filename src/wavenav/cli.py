@@ -21,7 +21,7 @@ import os
 import statistics
 import sys
 
-from .config import ConfigError, apply_overrides, parse_config
+from .config import ConfigError, apply_overrides, parse_config, scenario_name
 from .io import REPORT_HEADER
 from .planner import PlanResult
 from .runner import WAVE_COMPLETED, exit_code_for, run_scenario, verify_scenario
@@ -79,10 +79,7 @@ def _load(args) -> "ScenarioConfig":
         overrides.append(f"output.frame_stride={args.frame_stride}")
     if overrides:
         text = apply_overrides(text, overrides)
-    name = os.path.basename(args.config)
-    if name.endswith(".cfg"):
-        name = name[:-4]
-    cfg = parse_config(text, name=name)
+    cfg = parse_config(text, name=scenario_name(args.config))
     if args.out is not None:
         cfg.out_dir = args.out
     return cfg
@@ -94,7 +91,7 @@ def _outcome_of(result) -> str:
 
 def _cmd_run(args) -> int:
     cfg = _load(args)
-    result, outputs = run_scenario(cfg, out_dir=args.out or cfg.out_dir)
+    result, outputs = run_scenario(cfg, out_dir=cfg.out_dir)
     outcome = _outcome_of(result)
     print(f"{cfg.name}: {outcome}")
     if outputs.trajectory_csv:
@@ -105,8 +102,7 @@ def _cmd_run(args) -> int:
 def _cmd_render(args) -> int:
     cfg = _load(args)
     stride = cfg.frame_stride or 10
-    result, outputs = run_scenario(cfg, out_dir=args.out or cfg.out_dir,
-                                   frame_stride=stride)
+    result, outputs = run_scenario(cfg, out_dir=cfg.out_dir, frame_stride=stride)
     outcome = _outcome_of(result)
     print(f"{cfg.name}: {outcome}, {len(outputs.frames)} frames")
     return exit_code_for(outcome)
@@ -114,9 +110,8 @@ def _cmd_render(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _load(args)
-    out_dir = args.out or cfg.out_dir
-    result, row = verify_scenario(cfg, out_dir=out_dir)
-    report = args.report or os.path.join(out_dir, "report.csv")
+    result, row = verify_scenario(cfg, out_dir=cfg.out_dir)
+    report = args.report or os.path.join(cfg.out_dir, "report.csv")
     os.makedirs(os.path.dirname(report) or ".", exist_ok=True)
     fresh = not os.path.exists(report)
     with open(report, "a", encoding="utf-8", newline="\n") as fh:
@@ -141,8 +136,7 @@ def _parse_seed_range(spec: str) -> range:
 
 def _cmd_sweep(args) -> int:
     seeds = _parse_seed_range(args.seeds)
-    base = _load(args)
-    out_root = args.out or base.out_dir
+    out_root = _load(args).out_dir
     rows = []
     reached_steps = []
     for seed in seeds:

@@ -9,38 +9,37 @@ Grammar (all sections optional unless noted):
       "target":    [x, y] | [[x, y], ...], (required) stimulated node(s)
       "mode":      "homogeneous" | "heterogeneous",
       "seed":      int | null,             required to run heterogeneous mode
-      "max_steps": int >= 1,
-      "synapse":   {"s_ee_max", "s_ei_max", "s_ie_max", "d_e", "d_i",
-                    "metric", "substeps", "v_floor", "stim_dc"},
-      "attractor": {"J", "sigma", "T", "tau", "warmup", "seed_radius",
-                    "jitter_seed", "jitter_mag"},
-      "coupling":  {"R", "hold", "arrival_radius"},
+      "max_steps": int >= 1,               the planner's step budget
+      "synapse":   fields of wave.SynapseConfig,
+      "attractor": fields of attractor.AttractorParams,
+      "coupling":  fields of planner.CouplingParams except max_steps,
       "output":    {"frame_stride": int >= 0, "directory": str}
     }
 
+A section's keys, their types and their defaults are those of its
+dataclass; its `validate` checks their ranges. Numbers must be finite.
 Unknown keys anywhere are rejected. Multi-node "target" is only valid
 together with "start": null (wave-only scenarios with several sources).
 """
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
+import os
+import typing
 from dataclasses import dataclass, field
 
 from .attractor import AttractorParams
 from .manifold import Manifold, build_manifold
 from .planner import CouplingParams
-from .wave import STIM_DC, SynapseConfig
+from .wave import SynapseConfig
 
 
 class ConfigError(ValueError):
     pass
 
 
-_SYNAPSE_KEYS = {"s_ee_max", "s_ei_max", "s_ie_max", "d_e", "d_i", "metric",
-                 "substeps", "v_floor", "stim_dc"}
-_ATTRACTOR_KEYS = {"J", "sigma", "T", "tau", "warmup", "seed_radius",
-                   "jitter_seed", "jitter_mag"}
-_COUPLING_KEYS = {"R", "hold", "arrival_radius"}
 _OUTPUT_KEYS = {"frame_stride", "directory"}
 _TOP_KEYS = {"grid", "obstacles", "start", "target", "mode", "seed",
              "max_steps", "synapse", "attractor", "coupling", "output"}
@@ -55,25 +54,34 @@ class ScenarioConfig:
     targets: list = field(default_factory=list)
     mode: str = "homogeneous"
     seed: int | None = None
-    max_steps: int = 1000
     synapse: SynapseConfig = field(default_factory=SynapseConfig)
-    substeps: int = 2
-    v_floor: float | None = -90.0
-    stim_dc: float = STIM_DC
     attractor: AttractorParams = field(default_factory=AttractorParams)
     coupling: CouplingParams = field(default_factory=CouplingParams)
     frame_stride: int = 0
     out_dir: str = "out"
     name: str = "scenario"
 
+    @property
+    def max_steps(self) -> int:
+        return self.coupling.max_steps
+
     def build(self) -> Manifold:
         return build_manifold(self.nx, self.ny, self.obstacles)
 
 
-def _reject_unknown(section: dict, allowed: set, where: str) -> None:
+def _reject_unknown(section: dict, allowed, where: str) -> None:
     for key in section:
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in {where}")
+
+
+def _section(raw: dict, key: str, allowed) -> dict:
+    """The JSON object raw[key] ({} if absent), holding only `allowed` keys."""
+    section = raw.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} must be an object")
+    _reject_unknown(section, allowed, f"'{key}'")
+    return section
 
 
 def _coord(value, where: str) -> tuple[int, int]:
@@ -83,41 +91,77 @@ def _coord(value, where: str) -> tuple[int, int]:
     return value[0], value[1]
 
 
-def _number(section: dict, key: str, where: str, default, *,
-            integer: bool = False, optional: bool = False):
-    if key not in section:
-        return default
-    value = section[key]
-    if value is None and optional:
-        return None
+def _number(value, where: str, integer: bool = False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number")
+        raise ConfigError(f"{where} must be a number")
     if integer:
         if not isinstance(value, int):
-            raise ConfigError(f"{where}.{key} must be an integer")
+            raise ConfigError(f"{where} must be an integer")
         return value
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite")
+    return value
+
+
+def _typed(value, hint, where: str):
+    """`value` checked against a field annotation: int, float, str or X | None."""
+    options = typing.get_args(hint)
+    if type(None) in options:
+        if value is None:
+            return None
+        (hint,) = [t for t in options if t is not type(None)]
+    if hint is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{where} must be a string")
+        return value
+    return _number(value, where, integer=hint is int)
+
+
+def _params(raw: dict, key: str, cls, top_level: tuple = ()):
+    """Build dataclass `cls` from section raw[key] and validate it.
+
+    The section accepts exactly the fields of `cls`, except those named
+    in `top_level`, which are read from the top level instead. Omitted
+    fields keep the dataclass defaults.
+    """
+    hints = typing.get_type_hints(cls)
+    names = {f.name for f in dataclasses.fields(cls)} - set(top_level)
+    given = {name: _typed(value, hints[name], f"{key}.{name}")
+             for name, value in _section(raw, key, names).items()}
+    given.update((name, _typed(raw[name], hints[name], name))
+                 for name in top_level if name in raw)
+    try:
+        return cls(**given).validate()
+    except ValueError as e:
+        raise ConfigError(f"{key}: {e}") from e
+
+
+def _json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ConfigError(
+            f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from e
 
 
 def parse_config(text: str, name: str = "scenario") -> ScenarioConfig:
     """Parse and fully validate a scenario; defaults applied to omissions."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(
-            f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    raw = _json(text)
     if not isinstance(raw, dict):
         raise ConfigError("top level must be an object")
     _reject_unknown(raw, _TOP_KEYS, "top level")
 
     if "grid" not in raw:
         raise ConfigError("missing required section 'grid'")
-    grid = raw["grid"]
-    _reject_unknown(grid, {"nx", "ny"}, "'grid'")
-    nx = _number(grid, "nx", "grid", None, integer=True)
-    ny = _number(grid, "ny", "grid", None, integer=True)
-    if nx is None or ny is None:
+    grid = _section(raw, "grid", {"nx", "ny"})
+    if "nx" not in grid or "ny" not in grid:
         raise ConfigError("grid.nx and grid.ny are required")
+    nx = _number(grid["nx"], "grid.nx", integer=True)
+    ny = _number(grid["ny"], "grid.ny", integer=True)
     if nx < 3 or ny < 3:
         raise ConfigError("grid.nx and grid.ny must be >= 3")
 
@@ -149,70 +193,17 @@ def parse_config(text: str, name: str = "scenario") -> ScenarioConfig:
     if mode not in ("homogeneous", "heterogeneous"):
         raise ConfigError(f"mode must be homogeneous or heterogeneous, got {mode!r}")
     seed = raw.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise ConfigError("seed must be an integer or null")
-    max_steps = _number(raw, "max_steps", "top level", 1000, integer=True)
-    if max_steps < 1:
-        raise ConfigError("max_steps must be >= 1")
+    if seed is not None:
+        seed = _number(seed, "seed", integer=True)
 
-    syn = raw.get("synapse", {})
-    _reject_unknown(syn, _SYNAPSE_KEYS, "'synapse'")
-    metric = syn.get("metric", "manhattan")
-    if metric not in ("manhattan", "euclid", "cheb"):
-        raise ConfigError(
-            f"synapse.metric must be manhattan, euclid or cheb, got {metric!r}")
-    synapse = SynapseConfig(
-        s_ee_max=_number(syn, "s_ee_max", "synapse", 50.0),
-        s_ei_max=_number(syn, "s_ei_max", "synapse", 9.0),
-        s_ie_max=_number(syn, "s_ie_max", "synapse", -200.0),
-        d_e=_number(syn, "d_e", "synapse", 2.0),
-        d_i=_number(syn, "d_i", "synapse", 2.0),
-        metric=metric)
-    try:
-        synapse.validate()
-    except ValueError as e:
-        raise ConfigError(f"synapse: {e}") from e
-    substeps = _number(syn, "substeps", "synapse", 2, integer=True)
-    if substeps < 1:
-        raise ConfigError("synapse.substeps must be >= 1")
-    v_floor = _number(syn, "v_floor", "synapse", -90.0, optional=True)
-    stim_dc = _number(syn, "stim_dc", "synapse", STIM_DC)
+    synapse = _params(raw, "synapse", SynapseConfig)
+    attractor = _params(raw, "attractor", AttractorParams)
+    coupling = _params(raw, "coupling", CouplingParams,
+                       top_level=("max_steps",))
 
-    att = raw.get("attractor", {})
-    _reject_unknown(att, _ATTRACTOR_KEYS, "'attractor'")
-    jitter_seed = att.get("jitter_seed")
-    if jitter_seed is not None and (isinstance(jitter_seed, bool)
-                                    or not isinstance(jitter_seed, int)):
-        raise ConfigError("attractor.jitter_seed must be an integer or null")
-    attractor = AttractorParams(
-        J=_number(att, "J", "attractor", 12.0),
-        sigma=_number(att, "sigma", "attractor", 0.03),
-        T=_number(att, "T", "attractor", 0.05),
-        tau=_number(att, "tau", "attractor", 0.8),
-        warmup=_number(att, "warmup", "attractor", 50, integer=True),
-        seed_radius=_number(att, "seed_radius", "attractor", 6.0),
-        jitter_seed=jitter_seed,
-        jitter_mag=_number(att, "jitter_mag", "attractor", 1e-9))
-    try:
-        attractor.validate()
-    except ValueError as e:
-        raise ConfigError(f"attractor: {e}") from e
-
-    cpl = raw.get("coupling", {})
-    _reject_unknown(cpl, _COUPLING_KEYS, "'coupling'")
-    coupling = CouplingParams(
-        R=_number(cpl, "R", "coupling", 12, integer=True),
-        hold=_number(cpl, "hold", "coupling", None, integer=True, optional=True),
-        arrival_radius=_number(cpl, "arrival_radius", "coupling", 2.0),
-        max_steps=max_steps)
-    try:
-        coupling.validate()
-    except ValueError as e:
-        raise ConfigError(f"coupling: {e}") from e
-
-    out = raw.get("output", {})
-    _reject_unknown(out, _OUTPUT_KEYS, "'output'")
-    frame_stride = _number(out, "frame_stride", "output", 0, integer=True)
+    out = _section(raw, "output", _OUTPUT_KEYS)
+    frame_stride = _number(out.get("frame_stride", 0), "output.frame_stride",
+                           integer=True)
     if frame_stride < 0:
         raise ConfigError("output.frame_stride must be >= 0")
     out_dir = out.get("directory", "out")
@@ -221,10 +212,9 @@ def parse_config(text: str, name: str = "scenario") -> ScenarioConfig:
 
     cfg = ScenarioConfig(
         nx=nx, ny=ny, obstacles=rects, start=start, targets=targets,
-        mode=mode, seed=seed, max_steps=max_steps, synapse=synapse,
-        substeps=substeps, v_floor=v_floor, stim_dc=stim_dc,
-        attractor=attractor, coupling=coupling,
-        frame_stride=frame_stride, out_dir=out_dir, name=name)
+        mode=mode, seed=seed, synapse=synapse, attractor=attractor,
+        coupling=coupling, frame_stride=frame_stride, out_dir=out_dir,
+        name=name)
     _validate_geometry(cfg)
     return cfg
 
@@ -248,12 +238,16 @@ def _validate_geometry(cfg: ScenarioConfig) -> None:
             raise ConfigError("start lies inside an obstacle")
 
 
+def scenario_name(path) -> str:
+    """Scenario name for a config file: its base name without ".cfg"."""
+    name = os.path.basename(os.fspath(path))
+    return name[:-4] if name.endswith(".cfg") else name
+
+
 def load_config(path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    name = str(path).rsplit("/", 1)[-1]
-    name = name[:-4] if name.endswith(".cfg") else name
-    return parse_config(text, name=name)
+    return parse_config(text, name=scenario_name(path))
 
 
 def apply_overrides(raw_text: str, overrides: list[str]) -> str:
@@ -262,11 +256,9 @@ def apply_overrides(raw_text: str, overrides: list[str]) -> str:
     Values are parsed as JSON, falling back to bare strings. Returns
     the updated JSON text; key validation happens in parse_config.
     """
-    try:
-        data = json.loads(raw_text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(
-            f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    data = _json(raw_text)
+    if not isinstance(data, dict):
+        raise ConfigError("top level must be an object")
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")

@@ -17,8 +17,8 @@ import numpy as np
 from .attractor import (AttractorParams, BumpLostError, bump_center,
                         bump_footprint, init_bump, step_attractor)
 from .manifold import Manifold, euclidean_distance
-from .wave import (STIM_DC, SynapseConfig, build_synapses, init_neurons,
-                   set_stimulus, step_wave)
+from .wave import (SynapseConfig, build_synapses, init_neurons, set_stimulus,
+                   step_wave)
 
 REACHED = "reached"
 EXHAUSTED = "step_budget_exhausted"
@@ -86,8 +86,7 @@ def run_planner(m: Manifold, start: int, target: int,
                 attractor_params: AttractorParams | None = None,
                 coupling: CouplingParams | None = None,
                 mode: str = "homogeneous", seed: int | None = None,
-                substeps: int = 2, v_floor: float | None = -90.0,
-                stim_dc: float = STIM_DC, observer=None) -> PlanResult:
+                observer=None) -> PlanResult:
     """Run the coupled simulation from `start` toward `target`.
 
     `observer(t, wave_state, attractor_state, spikes_e)` is called once
@@ -106,9 +105,10 @@ def run_planner(m: Manifold, start: int, target: int,
     if euclidean_distance(m, start, target) <= coupling.arrival_radius:
         raise ValueError("start lies within the arrival radius of the target")
 
-    wave = init_neurons(m, mode=mode, seed=seed, substeps=substeps, v_floor=v_floor)
+    wave = init_neurons(m, mode=mode, seed=seed, substeps=synapse_cfg.substeps,
+                        v_floor=synapse_cfg.v_floor)
     tables = build_synapses(m, synapse_cfg)
-    set_stimulus(wave, target, True, amplitude=stim_dc)
+    set_stimulus(wave, target, True, amplitude=synapse_cfg.stim_dc)
 
     try:
         bump = init_bump(m, start, attractor_params)
@@ -121,7 +121,7 @@ def run_planner(m: Manifold, start: int, target: int,
     hold_left = 0
     fronts = 0
     trajectory: list[StepRecord] = []
-    path = [m.coords(bump_center(bump))]
+    path = [m.coords(start)]
     outcome = EXHAUSTED
 
     for t in range(coupling.max_steps):
@@ -171,7 +171,7 @@ def run_planner(m: Manifold, start: int, target: int,
 
 
 def path_length(result: PlanResult) -> float:
-    """Sum of Euclidean hops over consecutive distinct bump centers."""
+    """Sum of Euclidean hops from the start over distinct bump centers."""
     if not result.path:
         raise ValueError("empty path")
     return float(sum(math.hypot(b[0] - a[0], b[1] - a[1])

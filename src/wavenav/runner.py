@@ -30,11 +30,12 @@ def _require_seed(cfg: ScenarioConfig) -> None:
 def run_wave_only(cfg: ScenarioConfig, m: Manifold, out_dir: str | None,
                   frame_stride: int):
     """Run the wave layer alone, logging spike counts per step."""
+    syn = cfg.synapse
     state = init_neurons(m, mode=cfg.mode, seed=cfg.seed,
-                         substeps=cfg.substeps, v_floor=cfg.v_floor)
-    tables = build_synapses(m, cfg.synapse)
+                         substeps=syn.substeps, v_floor=syn.v_floor)
+    tables = build_synapses(m, syn)
     for tx, ty in cfg.targets:
-        set_stimulus(state, m.index(tx, ty), True, amplitude=cfg.stim_dc)
+        set_stimulus(state, m.index(tx, ty), True, amplitude=syn.stim_dc)
     counts = []
     outputs = ScenarioOutputs()
     for t in range(cfg.max_steps):
@@ -82,8 +83,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None,
     result = run_planner(
         m, start, target, synapse_cfg=cfg.synapse,
         attractor_params=cfg.attractor, coupling=cfg.coupling,
-        mode=cfg.mode, seed=cfg.seed, substeps=cfg.substeps,
-        v_floor=cfg.v_floor, stim_dc=cfg.stim_dc, observer=observer)
+        mode=cfg.mode, seed=cfg.seed, observer=observer)
     if out_dir:
         path = os.path.join(out_dir, "trajectory.csv")
         iomod.write_text(path, iomod.format_trajectory(result, m))

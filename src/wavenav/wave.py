@@ -44,11 +44,13 @@ FS = IzhikevichParams(0.1, 0.2, -65.0, 2.0)
 
 @dataclass(frozen=True)
 class SynapseConfig:
-    """Distance kernels for the three synapse classes.
+    """Wave-layer settings: synapse kernels, integration and drive.
 
     Strengths fall off as s_max / d with d measured under `metric`
     ("manhattan", "euclid" or "cheb"). Excitatory kernels skip d = 0;
-    the inhibitory-to-excitatory kernel includes it.
+    the inhibitory-to-excitatory kernel includes it. `substeps` and
+    `v_floor` set the Euler integration (see WaveState), `stim_dc` the
+    current into each stimulated node.
     """
 
     s_ee_max: float = 50.0
@@ -57,6 +59,9 @@ class SynapseConfig:
     d_e: float = 2.0
     d_i: float = 2.0
     metric: str = "manhattan"
+    substeps: int = 2
+    v_floor: float | None = -90.0
+    stim_dc: float = STIM_DC
 
     def validate(self) -> "SynapseConfig":
         if self.s_ee_max <= 0 or self.s_ei_max <= 0:
@@ -67,6 +72,8 @@ class SynapseConfig:
             raise ValueError("synapse ranges must be positive")
         if self.metric not in ("manhattan", "euclid", "cheb"):
             raise ValueError(f"unknown metric {self.metric!r}")
+        if self.substeps < 1:
+            raise ValueError("substeps must be >= 1")
         return self
 
 
@@ -103,7 +110,8 @@ def lattice_offsets(radius: float, metric: str):
 def _kernel_matrix(m: Manifold, s_max: float, radius: float, metric: str,
                    include_zero: bool) -> sp.csr_matrix:
     ok = ~m.blocked
-    pairs = lattice_offsets(radius, metric)
+    # no in-grid offset lies nx + ny or more away under any metric
+    pairs = lattice_offsets(min(radius, m.nx + m.ny), metric)
     if include_zero:
         pairs = [(0, 0, 0.0)] + pairs
     rows, cols, vals = [], [], []

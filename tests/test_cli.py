@@ -56,6 +56,20 @@ def test_config_error_exit_three(tmp_path, capsys):
     assert main(["run", str(unknown)]) == 3
 
 
+def test_malformed_values_exit_three(tmp_path, capsys):
+    for extra in ({"coupling": {"arrival_radius": float("nan")}},
+                  {"synapse": {"v_floor": float("nan")}},
+                  {"synapse": {"stim_dc": float("inf")}},
+                  {"grid": 5}, {"synapse": 3}):
+        cfg = write_cfg(tmp_path, "bad", **extra)
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3, extra
+        assert "config error" in capsys.readouterr().err
+    listed = tmp_path / "list.cfg"
+    listed.write_text("[1, 2]")
+    assert main(["run", str(listed), "--seed", "3"]) == 3
+    assert "top level" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_four(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "hot", synapse={"stim_dc": 1e200})
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 4

@@ -1,10 +1,16 @@
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wavenav.config import (ConfigError, apply_overrides, load_config,
-                            parse_config)
+from wavenav.attractor import AttractorParams
+from wavenav.config import (ConfigError, ScenarioConfig, apply_overrides,
+                            load_config, parse_config)
+from wavenav.planner import CouplingParams
 from wavenav.runner import run_scenario
+from wavenav.wave import SynapseConfig
 
 MINIMAL = '{"grid": {"nx": 41, "ny": 41}, "start": [4, 4], "target": [36, 36]}'
 
@@ -17,7 +23,8 @@ def test_minimal_config_gets_all_defaults():
     assert cfg.max_steps == 1000
     assert cfg.synapse.s_ee_max == 50.0
     assert cfg.synapse.d_e == 2.0 and cfg.synapse.d_i == 2.0
-    assert cfg.substeps == 2 and cfg.v_floor == -90.0 and cfg.stim_dc == 25.0
+    assert cfg.synapse.substeps == 2 and cfg.synapse.v_floor == -90.0
+    assert cfg.synapse.stim_dc == 25.0
     assert cfg.attractor.J == 12.0 and cfg.attractor.sigma == 0.03
     assert cfg.attractor.T == 0.05 and cfg.attractor.tau == 0.8
     assert cfg.coupling.R == 12 and cfg.coupling.arrival_radius == 2.0
@@ -111,6 +118,25 @@ def test_invalid_parameter_combinations():
     raw["attractor"] = {"sigma": -1.0}
     with pytest.raises(ConfigError, match="sigma"):
         parse_config(json.dumps(raw))
+    raw = json.loads(MINIMAL)
+    raw["synapse"] = {"substeps": 0}
+    with pytest.raises(ConfigError, match="synapse: substeps"):
+        parse_config(json.dumps(raw))
+
+
+@pytest.mark.parametrize("key,value,match", [
+    ("coupling", {"arrival_radius": float("nan")}, "arrival_radius.*finite"),
+    ("synapse", {"v_floor": float("nan")}, "v_floor.*finite"),
+    ("synapse", {"stim_dc": float("inf")}, "stim_dc.*finite"),
+    ("synapse", {"d_e": 10 ** 400}, "d_e.*finite"),
+    ("grid", 5, "grid must be an object"),
+    ("synapse", 3, "synapse must be an object"),
+])
+def test_malformed_values_are_config_errors(key, value, match):
+    raw = json.loads(MINIMAL)
+    raw[key] = value
+    with pytest.raises(ConfigError, match=match):
+        parse_config(json.dumps(raw))
 
 
 def test_max_steps_reaches_the_coupling_budget():
@@ -118,6 +144,8 @@ def test_max_steps_reaches_the_coupling_budget():
     raw["max_steps"] = 77
     cfg = parse_config(json.dumps(raw))
     assert cfg.coupling.max_steps == 77
+    cfg.coupling.max_steps = 5
+    assert cfg.max_steps == 5
 
 
 def test_heterogeneous_without_seed_fails_at_run_time():
@@ -141,9 +169,108 @@ def test_apply_overrides():
         apply_overrides(MINIMAL, ["grid.nx.deep=1"])
     with pytest.raises(ConfigError, match="line"):
         apply_overrides("{not json", ["seed=1"])
+    with pytest.raises(ConfigError, match="top level"):
+        apply_overrides("[1, 2]", ["seed=3"])
 
 
 def test_load_config_names_after_the_file(tmp_path):
     path = tmp_path / "my_run.cfg"
     path.write_text(MINIMAL)
     assert load_config(path).name == "my_run"
+
+
+SECTIONS = {"synapse": SynapseConfig, "attractor": AttractorParams,
+            "coupling": CouplingParams}
+
+
+def _field_defaults(cls) -> dict:
+    return {f.name: getattr(cls(), f.name) for f in dataclasses.fields(cls)}
+
+
+@pytest.mark.parametrize("section", sorted(SECTIONS))
+def test_section_keys_are_the_dataclass_fields(section):
+    own = set(_field_defaults(SECTIONS[section])) - {"max_steps"}
+    candidates = {}
+    for cls in SECTIONS.values():
+        candidates.update(_field_defaults(cls))
+    for key, value in sorted(candidates.items()):
+        raw = json.loads(MINIMAL)
+        raw[section] = {key: value}
+        if key in own:
+            cfg = parse_config(json.dumps(raw))
+            assert getattr(getattr(cfg, section), key) == value
+        else:
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config(json.dumps(raw))
+
+
+def json_values(max_int=None):
+    scalars = (st.none() | st.booleans() | st.integers(max_value=max_int)
+               | st.floats() | st.text(max_size=6))
+    return st.recursive(
+        scalars,
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+        max_leaves=8)
+
+
+_KEYS = ([(key,) for key in ("grid", "obstacles", "start", "target", "mode",
+                              "seed", "max_steps", "synapse", "attractor",
+                              "coupling", "output")]
+         + [("grid", "nx"), ("grid", "ny"), ("output", "frame_stride"),
+            ("output", "directory")]
+         + [(section, f.name) for section, cls in SECTIONS.items()
+            for f in dataclasses.fields(cls) if f.name != "max_steps"])
+
+
+@st.composite
+def placed_values(draw):
+    """A key path of the config and a JSON value for it.
+
+    Grid sizes stay at most 64: a huge grid is a MemoryError in
+    build_manifold, which parsing does not yet guard against.
+    """
+    path = draw(st.sampled_from(_KEYS))
+    value = draw(json_values(64 if path[0] == "grid" else None))
+    return path, value
+
+
+def _parses_or_config_error(text: str) -> None:
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ScenarioConfig)
+
+
+@settings(max_examples=300, deadline=None)
+@given(placed_values())
+def test_any_value_at_any_key_parses_or_is_a_config_error(placed):
+    (*sections, key), value = placed
+    raw = json.loads(MINIMAL)
+    node = raw
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[key] = value
+    _parses_or_config_error(json.dumps(raw))
+
+
+@settings(max_examples=300, deadline=None)
+@given(placed_values())
+def test_any_override_parses_or_is_a_config_error(placed):
+    path, value = placed
+    try:
+        text = apply_overrides(MINIMAL, [".".join(path) + "=" + json.dumps(value)])
+    except ConfigError:
+        return
+    _parses_or_config_error(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_values(64))
+def test_overrides_on_any_document_are_config_errors(document):
+    try:
+        text = apply_overrides(json.dumps(document), ["seed=3"])
+    except ConfigError:
+        return
+    _parses_or_config_error(text)

@@ -100,10 +100,12 @@ def test_simple_traversal_invariants(simple_result):
     assert all(a != b for a, b in zip(result.path, result.path[1:]))
 
 
-def test_path_starts_at_warmed_up_center(simple_result):
+def test_path_starts_at_configured_start(simple_result):
     cfg, result, _ = simple_result
-    # corner seed relaxes one node inward before the run starts
-    assert result.path[0] == (5, 5)
+    assert result.path[0] == cfg.start
+    # corner seed relaxes one node inward before the run starts, and that
+    # first hop counts toward the path length
+    assert result.path[1] == (5, 5)
 
 
 def test_obstacle_safety(maze_results):

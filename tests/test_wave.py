@@ -7,6 +7,7 @@ scheme, same substep count) before this module existed.
 import numpy as np
 import pytest
 
+from wavenav import wave
 from wavenav.manifold import build_manifold
 from wavenav.wave import (FS, RS, NumericalError, SynapseConfig,
                           build_synapses, init_neurons, lattice_offsets,
@@ -199,6 +200,28 @@ def test_synapse_config_validation():
         SynapseConfig(d_e=0.0).validate()
     with pytest.raises(ValueError):
         SynapseConfig(metric="polar").validate()
+    with pytest.raises(ValueError):
+        SynapseConfig(substeps=0).validate()
+
+
+@pytest.mark.parametrize("metric", ["manhattan", "euclid", "cheb"])
+def test_kernel_radius_is_bounded_by_the_lattice(metric, monkeypatch):
+    m = build_manifold(7, 5, obstacles=[(3, 1, 3, 2)])
+    listed = wave.lattice_offsets
+
+    def bounded(radius, metric):
+        # an unbounded radius would list ~4e18 offsets and never return
+        assert radius <= m.nx + m.ny
+        return listed(radius, metric)
+
+    monkeypatch.setattr(wave, "lattice_offsets", bounded)
+    far = build_synapses(m, SynapseConfig(d_e=1e9, d_i=1e9, metric=metric))
+    edge = build_synapses(m, SynapseConfig(d_e=m.nx + m.ny, d_i=m.nx + m.ny,
+                                           metric=metric))
+    for a, b in zip((far.ee, far.ei, far.ie), (edge.ee, edge.ei, edge.ie)):
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a.data, b.data)
 
 
 def test_randomize_synapses():

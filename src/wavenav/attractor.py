@@ -3,7 +3,8 @@
 Rate-coded units on the same lattice interact through a Gaussian
 weight profile in normalized coordinates. A direction vector delta
 biases the weights so that each update translates the bump; with
-delta = (0, 0) the bump is a fixed point.
+delta = (0, 0) the bump is a fixed point. The profile factorises per
+axis, so an update is two small matrix products.
 
 Activity is renormalized to unit sum after every update. The raw
 update rule has a per-step gain well above 1 at the shipped
@@ -46,6 +47,8 @@ class AttractorParams:
             raise ValueError("tau must be in [0, 1]")
         if self.warmup < 0:
             raise ValueError("warmup must be >= 0")
+        if self.jitter_seed is not None and self.jitter_seed < 0:
+            raise ValueError("jitter_seed must be >= 0")
         return self
 
 
@@ -60,7 +63,7 @@ def attractor_weight(i: int, j: int, delta, p: AttractorParams,
 
 
 class AttractorState:
-    """Activity field A, current direction vector and cached weights."""
+    """Activity field A, direction vector delta and per-axis kernel factors."""
 
     def __init__(self, m: Manifold, p: AttractorParams):
         p.validate()
@@ -68,32 +71,29 @@ class AttractorState:
         self.params = p
         self.A = np.zeros(m.n)
         self.delta = (0.0, 0.0)
-        # pairwise normalized offsets, pre -> post
-        self._dx = (m.xs[:, None] - m.xs[None, :]) / m.nx
-        self._dy = (m.ys[:, None] - m.ys[None, :]) / m.ny
-        self._W = None
-        self._eps = None
+        self._g = None
+        # pairwise normalized offsets per axis, pre -> post
+        self._offsets = [(np.arange(k)[:, None] - np.arange(k)) / k
+                         for k in (m.nx, m.ny)]
+        self._jitter = (1.0, 1.0)
         if p.jitter_seed is not None:
-            rng = np.random.default_rng(p.jitter_seed)
-            self._eps = 1.0 + p.jitter_mag * rng.uniform(-1.0, 1.0, (m.n, m.n))
+            rng = np.random.default_rng(p.jitter_seed)  # x field drawn first
+            self._jitter = [1.0 + p.jitter_mag * rng.uniform(-1.0, 1.0, o.shape)
+                            for o in self._offsets]
 
     def set_delta(self, delta) -> None:
         delta = (float(delta[0]), float(delta[1]))
         if delta != self.delta:
             self.delta = delta
-            self._W = None
+            self._g = None
 
-    def weights(self) -> np.ndarray:
-        """Dense weight matrix W[i, j] for the current delta."""
-        if self._W is None:
-            p = self.params
-            ddx = self._dx + self.delta[0]
-            ddy = self._dy + self.delta[1]
-            W = p.J * np.exp(-(ddx * ddx + ddy * ddy) / (p.sigma * p.sigma)) - p.T
-            if self._eps is not None:
-                W = W * self._eps
-            self._W = W
-        return self._W
+    def weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Factors (gx, gy): weight i -> j is J * gx[xi, xj] * gy[yi, yj] - T."""
+        if self._g is None:
+            s2 = self.params.sigma * self.params.sigma
+            self._g = tuple(np.exp(-(o + d) ** 2 / s2) * e for o, d, e
+                            in zip(self._offsets, self.delta, self._jitter))
+        return self._g
 
 
 def init_bump(m: Manifold, start: int, p: AttractorParams) -> AttractorState:
@@ -125,11 +125,12 @@ def step_attractor(state: AttractorState) -> AttractorState:
     total = state.A.sum()
     if total <= 0.0:
         raise BumpLostError("total activity is zero")
-    p = state.params
-    B = state.A @ state.weights()
+    p, m = state.params, state.manifold
+    gx, gy = state.weights()
+    B = p.J * (gy.T @ state.A.reshape(m.ny, m.nx) @ gx).ravel() - p.T * total
     A = (1.0 - p.tau) * B + p.tau * B / total
     np.maximum(A, 0.0, out=A)
-    A[state.manifold.blocked] = 0.0
+    A[m.blocked] = 0.0
     total = A.sum()
     if total <= 0.0:
         raise BumpLostError("activity vanished after update")
@@ -153,15 +154,14 @@ def bump_footprint(state: AttractorState) -> np.ndarray:
 
 def footprint_diameter(state: AttractorState) -> int:
     """Largest axis extent of the half-max footprint, in nodes."""
-    fp = bump_footprint(state)
-    m = state.manifold
-    xs, ys = m.xs[fp], m.ys[fp]
-    return int(max(xs.max() - xs.min(), ys.max() - ys.min()) + 1)
+    return _extent(state.manifold, bump_footprint(state))
 
 
 def bump_width(state: AttractorState) -> int:
     """Largest axis extent of the nonzero support, in nodes."""
-    sup = state.A > 0.0
-    m = state.manifold
-    xs, ys = m.xs[sup], m.ys[sup]
+    return _extent(state.manifold, state.A > 0.0)
+
+
+def _extent(m: Manifold, mask: np.ndarray) -> int:
+    xs, ys = m.xs[mask], m.ys[mask]
     return int(max(xs.max() - xs.min(), ys.max() - ys.min()) + 1)

@@ -131,6 +131,8 @@ def _parse_seed_range(spec: str) -> range:
         raise ConfigError(f"--seeds must be A..B, got {spec!r}") from e
     if hi < lo:
         raise ConfigError(f"--seeds range {spec!r} is empty")
+    if lo < 0:
+        raise ConfigError(f"--seeds range {spec!r} has a negative seed")
     return range(lo, hi + 1)
 
 

@@ -8,7 +8,7 @@ Grammar (all sections optional unless noted):
       "start":     [x, y] | null,          null = run the wave layer only
       "target":    [x, y] | [[x, y], ...], (required) stimulated node(s)
       "mode":      "homogeneous" | "heterogeneous",
-      "seed":      int | null,             required to run heterogeneous mode
+      "seed":      int >= 0 | null,        required to run heterogeneous mode
       "max_steps": int >= 1,               the planner's step budget
       "synapse":   fields of wave.SynapseConfig,
       "attractor": fields of attractor.AttractorParams,
@@ -20,6 +20,8 @@ A section's keys, their types and their defaults are those of its
 dataclass; its `validate` checks their ranges. Numbers must be finite.
 Unknown keys anywhere are rejected. Multi-node "target" is only valid
 together with "start": null (wave-only scenarios with several sources).
+A scenario whose synapse tables and attractor factors would exceed
+MAX_ENTRIES is rejected before any of them is built.
 """
 from __future__ import annotations
 
@@ -39,6 +41,12 @@ from .wave import SynapseConfig
 class ConfigError(ValueError):
     pass
 
+
+# Largest scenario accepted, in estimated entries of one wave-layer
+# synapse table plus the attractor's two kernel factors (see _check_size).
+# Runs just under it (210x210 with synapse range 10, 490x490 with 4 and
+# 1330x1330 with 1, "cheb" metric) peak at 1.5-1.6 GB resident.
+MAX_ENTRIES = 20_000_000
 
 _OUTPUT_KEYS = {"frame_stride", "directory"}
 _TOP_KEYS = {"grid", "obstacles", "start", "target", "mode", "seed",
@@ -195,6 +203,8 @@ def parse_config(text: str, name: str = "scenario") -> ScenarioConfig:
     seed = raw.get("seed")
     if seed is not None:
         seed = _number(seed, "seed", integer=True)
+        if seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     synapse = _params(raw, "synapse", SynapseConfig)
     attractor = _params(raw, "attractor", AttractorParams)
@@ -215,8 +225,25 @@ def parse_config(text: str, name: str = "scenario") -> ScenarioConfig:
         mode=mode, seed=seed, synapse=synapse, attractor=attractor,
         coupling=coupling, frame_stride=frame_stride, out_dir=out_dir,
         name=name)
+    _check_size(cfg)
     _validate_geometry(cfg)
     return cfg
+
+
+def _check_size(cfg: ScenarioConfig) -> None:
+    """Reject a scenario whose tables would exceed MAX_ENTRIES.
+
+    A synapse table holds at most nx * ny * (2 ceil(r) + 1)^2 entries for
+    the larger kernel radius r (capped at nx + ny, as in the wave layer);
+    the attractor's kernel factors hold nx^2 + ny^2.
+    """
+    r = min(max(cfg.synapse.d_e, cfg.synapse.d_i), cfg.nx + cfg.ny)
+    entries = (cfg.nx * cfg.ny * (2 * math.ceil(r) + 1) ** 2
+               + cfg.nx ** 2 + cfg.ny ** 2)
+    if entries > MAX_ENTRIES:
+        raise ConfigError(
+            f"a {cfg.nx}x{cfg.ny} grid with synapse range {r:g} needs about "
+            f"{entries:.3g} table entries, more than the limit {MAX_ENTRIES:.3g}")
 
 
 def _validate_geometry(cfg: ScenarioConfig) -> None:

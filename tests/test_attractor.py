@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,24 +36,68 @@ def test_weight_matches_matrix_entries():
     p = AttractorParams()
     state = AttractorState(m, p)
     state.set_delta((0.02, -0.01))
-    W = state.weights()
+    gx, gy = state.weights()
     for i, j in ((0, 0), (3, 70), (40, 41)):
-        assert W[i, j] == pytest.approx(
+        (xi, yi), (xj, yj) = m.coords(i), m.coords(j)
+        assert p.J * gx[xi, xj] * gy[yi, yj] - p.T == pytest.approx(
             attractor_weight(i, j, state.delta, p, m.nx, m.ny), rel=1e-12)
 
 
 def test_weight_argmax_leads_along_delta():
     # for a fixed unit, the strongest outgoing weight points along +delta,
-    # which is what pulls the bump toward the overlap
+    # which is what pulls the bump toward the overlap; J > 0, so the row
+    # maximum of J * gx * gy - T is where each factor peaks
     m = build_manifold(41, 41)
     state = AttractorState(m, AttractorParams())
-    i = m.index(20, 20)
+    xi, yi = 20, 20
     state.set_delta((3.0 / 41.0, 0.0))
-    j = int(np.argmax(state.weights()[i]))
-    assert m.coords(j) == (23, 20)
+    gx, gy = state.weights()
+    assert (int(np.argmax(gx[xi])), int(np.argmax(gy[yi]))) == (23, 20)
     state.set_delta((0.0, -2.0 / 41.0))
-    j = int(np.argmax(state.weights()[i]))
-    assert m.coords(j) == (20, 18)
+    gx, gy = state.weights()
+    assert (int(np.argmax(gx[xi])), int(np.argmax(gy[yi]))) == (20, 18)
+
+
+def test_step_matches_dense_reference():
+    # non-square lattice with an obstacle and delta != 0: checks the
+    # reshape order of the factor product and the blocked-node handling
+    m = build_manifold(7, 5, obstacles=[(2, 1, 3, 2)])
+    p = AttractorParams()
+    state = AttractorState(m, p)
+    state.set_delta((0.03, -0.02))
+    A = np.random.default_rng(0).random(m.n)
+    A[m.blocked] = 0.0
+    state.A = A / A.sum()
+    W = np.array([[attractor_weight(i, j, state.delta, p, m.nx, m.ny)
+                   for j in range(m.n)] for i in range(m.n)])
+    B = state.A @ W
+    expected = (1.0 - p.tau) * B + p.tau * B / state.A.sum()
+    expected = np.maximum(expected, 0.0)
+    expected[m.blocked] = 0.0
+    expected /= expected.sum()
+    step_attractor(state)
+    np.testing.assert_allclose(state.A, expected, rtol=1e-12, atol=1e-15)
+    assert np.all(state.A[m.blocked] == 0.0)
+
+
+def test_memory_grows_with_the_axes_not_the_node_count():
+    # an 81x81 lattice has 6561 units; one dense n x n float64 table
+    # alone would take 344 MB
+    m = build_manifold(81, 81)
+    tracemalloc.start()
+    try:
+        state = init_bump(m, m.index(40, 40), AttractorParams(jitter_seed=0))
+        state.set_delta((0.02, 0.01))
+        for _ in range(5):
+            step_attractor(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    held = [a for v in vars(state).values()
+            for a in (v if isinstance(v, (list, tuple)) else [v])
+            if isinstance(a, np.ndarray)]
+    assert max(a.size for a in held) <= max(m.n, m.nx ** 2, m.ny ** 2)
 
 
 def test_params_validation():
@@ -64,6 +109,8 @@ def test_params_validation():
         AttractorParams(J=float("nan")).validate()
     with pytest.raises(ValueError):
         AttractorParams(warmup=-1).validate()
+    with pytest.raises(ValueError):
+        AttractorParams(jitter_seed=-1).validate()
 
 
 def test_init_bump_centers_on_start():

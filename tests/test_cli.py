@@ -60,7 +60,10 @@ def test_malformed_values_exit_three(tmp_path, capsys):
     for extra in ({"coupling": {"arrival_radius": float("nan")}},
                   {"synapse": {"v_floor": float("nan")}},
                   {"synapse": {"stim_dc": float("inf")}},
-                  {"grid": 5}, {"synapse": 3}):
+                  {"grid": 5}, {"synapse": 3}, {"seed": -1},
+                  {"attractor": {"jitter_seed": -1}},
+                  {"grid": {"nx": 100000, "ny": 100000}},
+                  {"grid": {"nx": 201, "ny": 201}, "synapse": {"d_e": 1e9}}):
         cfg = write_cfg(tmp_path, "bad", **extra)
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3, extra
         assert "config error" in capsys.readouterr().err
@@ -68,6 +71,11 @@ def test_malformed_values_exit_three(tmp_path, capsys):
     listed.write_text("[1, 2]")
     assert main(["run", str(listed), "--seed", "3"]) == 3
     assert "top level" in capsys.readouterr().err
+    het = write_cfg(tmp_path, "het", mode="heterogeneous")
+    assert main(["run", het, "--seed", "-2"]) == 3
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert main(["sweep", het, "--seeds=-2..0"]) == 3
+    assert "negative seed" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_four(tmp_path, capsys):

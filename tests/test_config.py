@@ -131,12 +131,30 @@ def test_invalid_parameter_combinations():
     ("synapse", {"d_e": 10 ** 400}, "d_e.*finite"),
     ("grid", 5, "grid must be an object"),
     ("synapse", 3, "synapse must be an object"),
+    ("seed", -1, "seed must be >= 0"),
+    ("attractor", {"jitter_seed": -1}, "attractor: jitter_seed must be >= 0"),
 ])
 def test_malformed_values_are_config_errors(key, value, match):
     raw = json.loads(MINIMAL)
     raw[key] = value
     with pytest.raises(ConfigError, match=match):
         parse_config(json.dumps(raw))
+
+
+@pytest.mark.parametrize("extra", [
+    {"grid": {"nx": 100000, "ny": 100000}},
+    {"grid": {"nx": 201, "ny": 201}, "synapse": {"d_e": 1e9}},
+    # small synapse tables, but kernel factors of 10^10 entries
+    {"grid": {"nx": 100000, "ny": 3}, "start": [4, 1], "target": [36, 1],
+     "synapse": {"d_e": 1.0, "d_i": 1.0}},
+])
+def test_oversized_scenarios_are_config_errors(extra):
+    raw = dict(json.loads(MINIMAL), **extra)
+    with pytest.raises(ConfigError, match="more than the limit"):
+        parse_config(json.dumps(raw))
+    raw["grid"] = {"nx": 201, "ny": 201}
+    raw["synapse"] = {"d_e": 8.0}
+    assert parse_config(json.dumps(raw)).nx == 201
 
 
 def test_max_steps_reaches_the_coupling_budget():
@@ -204,8 +222,8 @@ def test_section_keys_are_the_dataclass_fields(section):
                 parse_config(json.dumps(raw))
 
 
-def json_values(max_int=None):
-    scalars = (st.none() | st.booleans() | st.integers(max_value=max_int)
+def json_values():
+    scalars = (st.none() | st.booleans() | st.integers()
                | st.floats() | st.text(max_size=6))
     return st.recursive(
         scalars,
@@ -225,14 +243,8 @@ _KEYS = ([(key,) for key in ("grid", "obstacles", "start", "target", "mode",
 
 @st.composite
 def placed_values(draw):
-    """A key path of the config and a JSON value for it.
-
-    Grid sizes stay at most 64: a huge grid is a MemoryError in
-    build_manifold, which parsing does not yet guard against.
-    """
-    path = draw(st.sampled_from(_KEYS))
-    value = draw(json_values(64 if path[0] == "grid" else None))
-    return path, value
+    """A key path of the config and a JSON value for it."""
+    return draw(st.sampled_from(_KEYS)), draw(json_values())
 
 
 def _parses_or_config_error(text: str) -> None:
@@ -267,7 +279,7 @@ def test_any_override_parses_or_is_a_config_error(placed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(json_values(64))
+@given(json_values())
 def test_overrides_on_any_document_are_config_errors(document):
     try:
         text = apply_overrides(json.dumps(document), ["seed=3"])

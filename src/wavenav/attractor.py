@@ -4,7 +4,8 @@ Rate-coded units on the same lattice interact through a Gaussian
 weight profile in normalized coordinates. A direction vector delta
 biases the weights so that each update translates the bump; with
 delta = (0, 0) the bump is a fixed point. The profile factorises per
-axis, so an update is two small matrix products.
+axis, so an update is two small matrix products; a seeded jitter adds
+one term over the active units.
 
 Activity is renormalized to unit sum after every update. The raw
 update rule has a per-step gain well above 1 at the shipped
@@ -75,11 +76,9 @@ class AttractorState:
         # pairwise normalized offsets per axis, pre -> post
         self._offsets = [(np.arange(k)[:, None] - np.arange(k)) / k
                          for k in (m.nx, m.ny)]
-        self._jitter = (1.0, 1.0)
         if p.jitter_seed is not None:
-            rng = np.random.default_rng(p.jitter_seed)  # x field drawn first
-            self._jitter = [1.0 + p.jitter_mag * rng.uniform(-1.0, 1.0, o.shape)
-                            for o in self._offsets]
+            self._rng = np.random.default_rng(p.jitter_seed).bit_generator
+            self._rng_start = self._rng.state
 
     def set_delta(self, delta) -> None:
         delta = (float(delta[0]), float(delta[1]))
@@ -91,9 +90,17 @@ class AttractorState:
         """Factors (gx, gy): weight i -> j is J * gx[xi, xj] * gy[yi, yj] - T."""
         if self._g is None:
             s2 = self.params.sigma * self.params.sigma
-            self._g = tuple(np.exp(-(o + d) ** 2 / s2) * e for o, d, e
-                            in zip(self._offsets, self.delta, self._jitter))
+            self._g = tuple(np.exp(-(o + d) ** 2 / s2)
+                            for o, d in zip(self._offsets, self.delta))
         return self._g
+
+    def jitter_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 of default_rng(jitter_seed).uniform(-1, 1, (n, n)),
+        found by advancing the generator; the field is never stored."""
+        n = self.manifold.n
+        self._rng.state = self._rng_start
+        self._rng.advance(int(lo) * n)
+        return np.random.Generator(self._rng).uniform(-1.0, 1.0, (hi - lo, n))
 
 
 def init_bump(m: Manifold, start: int, p: AttractorParams) -> AttractorState:
@@ -128,6 +135,16 @@ def step_attractor(state: AttractorState) -> AttractorState:
     p, m = state.params, state.manifold
     gx, gy = state.weights()
     B = p.J * (gy.T @ state.A.reshape(m.ny, m.nx) @ gx).ravel() - p.T * total
+    if p.jitter_seed is not None:
+        # add W[i, j] * jitter_mag * U[i, j] over the active pre-units i,
+        # one lattice row of them at a time
+        for lo in range(0, m.n, m.nx):
+            nz = np.flatnonzero(state.A[lo:lo + m.nx]) + lo
+            if nz.size:
+                i = slice(nz[0], nz[-1] + 1)
+                U = state.jitter_rows(i.start, i.stop)
+                U *= p.J * gx[m.xs[i, None], m.xs] * gy[m.ys[i, None], m.ys] - p.T
+                B += p.jitter_mag * (state.A[i] @ U)
     A = (1.0 - p.tau) * B + p.tau * B / total
     np.maximum(A, 0.0, out=A)
     A[m.blocked] = 0.0

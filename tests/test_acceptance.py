@@ -3,11 +3,7 @@
 One test per shipped guarantee; each line of `pytest -v` output is one
 pass/fail verdict. Criterion 3's second clause is a known failure of
 the shipped wave regime, kept red on purpose; the README's calibration
-notes explain the mechanism. Criterion 4's last clause, the step
-ordering complex < block < s_maze, is red as well: with the per-axis
-attractor jitter `block` takes 336 steps, fewer than `complex`'s 382.
-The ordering held only while an n-by-n jitter field slowed the bump
-around the block (README, "Maze step ordering").
+notes explain the mechanism.
 """
 import math
 import statistics

@@ -60,24 +60,29 @@ def test_weight_argmax_leads_along_delta():
 
 def test_step_matches_dense_reference():
     # non-square lattice with an obstacle and delta != 0: checks the
-    # reshape order of the factor product and the blocked-node handling
+    # reshape order of the factor product and the blocked-node handling;
+    # with jitter, W is scaled entry by entry by the seeded n x n field
     m = build_manifold(7, 5, obstacles=[(2, 1, 3, 2)])
-    p = AttractorParams()
-    state = AttractorState(m, p)
-    state.set_delta((0.03, -0.02))
     A = np.random.default_rng(0).random(m.n)
     A[m.blocked] = 0.0
-    state.A = A / A.sum()
-    W = np.array([[attractor_weight(i, j, state.delta, p, m.nx, m.ny)
-                   for j in range(m.n)] for i in range(m.n)])
-    B = state.A @ W
-    expected = (1.0 - p.tau) * B + p.tau * B / state.A.sum()
-    expected = np.maximum(expected, 0.0)
-    expected[m.blocked] = 0.0
-    expected /= expected.sum()
-    step_attractor(state)
-    np.testing.assert_allclose(state.A, expected, rtol=1e-12, atol=1e-15)
-    assert np.all(state.A[m.blocked] == 0.0)
+    A[[0, 1, 9, 20]] = 0.0
+    for p in (AttractorParams(), AttractorParams(jitter_seed=3, jitter_mag=0.01)):
+        state = AttractorState(m, p)
+        state.set_delta((0.03, -0.02))
+        state.A = A / A.sum()
+        W = np.array([[attractor_weight(i, j, state.delta, p, m.nx, m.ny)
+                       for j in range(m.n)] for i in range(m.n)])
+        if p.jitter_seed is not None:
+            rng = np.random.default_rng(p.jitter_seed)
+            W *= 1.0 + p.jitter_mag * rng.uniform(-1.0, 1.0, (m.n, m.n))
+        B = state.A @ W
+        expected = (1.0 - p.tau) * B + p.tau * B / state.A.sum()
+        expected = np.maximum(expected, 0.0)
+        expected[m.blocked] = 0.0
+        expected /= expected.sum()
+        step_attractor(state)
+        np.testing.assert_allclose(state.A, expected, rtol=1e-12, atol=1e-15)
+        assert np.all(state.A[m.blocked] == 0.0)
 
 
 def test_memory_grows_with_the_axes_not_the_node_count():
@@ -207,17 +212,26 @@ def test_activity_is_normalized_each_step():
 
 def test_jitter_is_seeded_and_small():
     m = build_manifold(15, 15)
-    p1 = AttractorParams(jitter_seed=5, jitter_mag=1e-9)
-    p2 = AttractorParams(jitter_seed=5, jitter_mag=1e-9)
-    p3 = AttractorParams(jitter_seed=6, jitter_mag=1e-9)
-    w1 = AttractorState(m, p1).weights()
-    w2 = AttractorState(m, p2).weights()
-    w3 = AttractorState(m, p3).weights()
-    clean = AttractorState(m, AttractorParams()).weights()
-    assert np.array_equal(w1, w2)
-    assert not np.array_equal(w1, w3)
-    assert np.allclose(w1, clean, rtol=1e-8)
-    assert not np.array_equal(w1, clean)
+
+    def stepped(p):
+        state = AttractorState(m, p)
+        state.A = np.exp(-((m.xs - 7.0) ** 2 + (m.ys - 6.0) ** 2) / 8.0)
+        state.A /= state.A.sum()
+        return step_attractor(state).A
+
+    a1 = stepped(AttractorParams(jitter_seed=5, jitter_mag=1e-9))
+    a2 = stepped(AttractorParams(jitter_seed=5, jitter_mag=1e-9))
+    a3 = stepped(AttractorParams(jitter_seed=6, jitter_mag=1e-9))
+    clean = stepped(AttractorParams())
+    assert np.array_equal(a1, a2)
+    assert not np.array_equal(a1, a3)
+    assert np.allclose(a1, clean, rtol=1e-8)
+    assert not np.array_equal(a1, clean)
+    # the draws are the row-major n x n field of default_rng(jitter_seed)
+    field = np.random.default_rng(5).uniform(-1.0, 1.0, (m.n, m.n))
+    state = AttractorState(m, AttractorParams(jitter_seed=5))
+    assert np.array_equal(state.jitter_rows(200, 225), field[200:225])
+    assert np.array_equal(state.jitter_rows(0, 3), field[:3])
 
 
 def test_bump_width_exceeds_footprint():

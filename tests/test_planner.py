@@ -141,7 +141,7 @@ def test_displacement_per_front_bounded_by_half_width():
 def test_block_maze_tie_break_depends_on_jitter_seed():
     m = build_manifold(41, 41, obstacles=[(14, 14, 26, 26)])
     sides = {}
-    for jitter_seed in (1, 2):
+    for jitter_seed in (2, 5):
         p = AttractorParams(sigma=0.031, jitter_seed=jitter_seed,
                             jitter_mag=0.01)
         result = run_planner(m, m.index(4, 20), m.index(36, 20),
@@ -151,7 +151,7 @@ def test_block_maze_tie_break_depends_on_jitter_seed():
         ys = [y for x, y in result.path if 15 <= x <= 25]
         assert max(ys) < 14 or min(ys) > 26, "path must clear the block"
         sides[jitter_seed] = "above" if max(ys) < 14 else "below"
-    assert sides[1] != sides[2]
+    assert sides[2] != sides[5]
 
 
 def test_bump_lost_outcome():

@@ -12,17 +12,15 @@ from .attractor import (AttractorParams, AttractorState, BumpLostError,
                         step_attractor)
 from .config import ConfigError, ScenarioConfig, load_config, parse_config
 from .manifold import (Manifold, build_manifold, euclidean_distance,
-                       neighbors_within)
+                       lattice_offsets)
 from .oracle import (FIFO, LIFO, Graph, build_graph, geometric_length,
                      hop_count, shortest_path, traverse)
 from .planner import (BUMP_LOST, EXHAUSTED, REACHED, CouplingParams,
                       PlanResult, StepRecord, detect_overlap,
                       direction_vector, path_length, run_planner)
 from .runner import run_scenario, run_wave_only, verify_scenario
-from .wave import (FS, RS, IzhikevichParams, NumericalError, SynapseConfig,
-                   SynapseTables, WaveState, build_synapses, init_neurons,
-                   lattice_offsets, randomize_synapses, set_stimulus,
-                   step_wave)
+from .wave import (NumericalError, SynapseConfig, SynapseTables, WaveState,
+                   build_synapses, init_neurons, set_stimulus, step_wave)
 
 __version__ = "0.1.0"
 
@@ -31,15 +29,14 @@ __all__ = [
     "bump_center", "bump_footprint", "bump_width", "footprint_diameter",
     "init_bump", "step_attractor",
     "ConfigError", "ScenarioConfig", "load_config", "parse_config",
-    "Manifold", "build_manifold", "euclidean_distance", "neighbors_within",
+    "Manifold", "build_manifold", "euclidean_distance", "lattice_offsets",
     "FIFO", "LIFO", "Graph", "build_graph", "geometric_length", "hop_count",
     "shortest_path", "traverse",
     "BUMP_LOST", "EXHAUSTED", "REACHED", "CouplingParams", "PlanResult",
     "StepRecord", "detect_overlap", "direction_vector", "path_length",
     "run_planner",
     "run_scenario", "run_wave_only", "verify_scenario",
-    "FS", "RS", "IzhikevichParams", "NumericalError", "SynapseConfig",
-    "SynapseTables", "WaveState", "build_synapses", "init_neurons",
-    "lattice_offsets", "randomize_synapses", "set_stimulus", "step_wave",
+    "NumericalError", "SynapseConfig", "SynapseTables", "WaveState",
+    "build_synapses", "init_neurons", "set_stimulus", "step_wave",
     "__version__",
 ]

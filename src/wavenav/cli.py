@@ -11,8 +11,8 @@ Any config key can be overridden with --set section.key=value
 shortcuts for the corresponding keys.
 
 Exit codes: 0 success or target reached, 2 step budget exhausted,
-3 configuration error, 4 numerical failure (bump lost or non-finite
-neuron state).
+3 configuration or usage error, 4 numerical failure (bump lost or
+non-finite neuron state).
 """
 from __future__ import annotations
 
@@ -164,7 +164,13 @@ def _cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 2 on a usage error; 2 means "budget exhausted" here
+        if e.code != 2:
+            raise
+        return EXIT_CONFIG
     handler = {"run": _cmd_run, "verify": _cmd_verify,
                "sweep": _cmd_sweep, "render": _cmd_render}[args.command]
     try:

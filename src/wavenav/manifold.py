@@ -1,7 +1,8 @@
 """2D lattice manifold with rectangular obstacles.
 
-Nodes are indexed row-major: index = y * nx + x. All distances are
-Euclidean in lattice units (grid step is 1.0 unless overridden).
+Nodes are indexed row-major: index = y * nx + x. Distances are in
+lattice units. `lattice_pairs` lists the node pairs within a radius;
+it builds both the wave layer's synapse tables and the oracle's graph.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 class Manifold:
     """An nx-by-ny lattice with a boolean blocked mask per node."""
 
-    def __init__(self, nx: int, ny: int, blocked: np.ndarray, grid_step: float = 1.0):
+    def __init__(self, nx: int, ny: int, blocked: np.ndarray):
         if nx < 3 or ny < 3:
             raise ValueError("grid must be at least 3x3")
         blocked = np.asarray(blocked, dtype=bool).reshape(nx * ny)
@@ -21,7 +22,6 @@ class Manifold:
             raise ValueError("every node is blocked")
         self.nx = int(nx)
         self.ny = int(ny)
-        self.grid_step = float(grid_step)
         self.blocked = blocked
         idx = np.arange(nx * ny)
         self.xs = idx % nx
@@ -48,7 +48,7 @@ class Manifold:
         return int((~self.blocked).sum())
 
 
-def build_manifold(nx: int, ny: int, obstacles=(), grid_step: float = 1.0) -> Manifold:
+def build_manifold(nx: int, ny: int, obstacles=()) -> Manifold:
     """Build a lattice, blocking every node covered by any rectangle.
 
     Rectangles are (x0, y0, x1, y1) with inclusive integer bounds.
@@ -61,36 +61,51 @@ def build_manifold(nx: int, ny: int, obstacles=(), grid_step: float = 1.0) -> Ma
         if x1 < 0 or y1 < 0 or x0 >= nx or y0 >= ny:
             raise ValueError(f"rectangle {rect} lies outside the lattice")
         blocked[max(y0, 0):y1 + 1, max(x0, 0):x1 + 1] = True
-    return Manifold(nx, ny, blocked.reshape(-1), grid_step)
+    return Manifold(nx, ny, blocked.reshape(-1))
 
 
 def euclidean_distance(m: Manifold, a: int, b: int) -> float:
     ax, ay = m.coords(a)
     bx, by = m.coords(b)
-    return m.grid_step * math.hypot(ax - bx, ay - by)
+    return math.hypot(ax - bx, ay - by)
 
 
-def neighbors_within(m: Manifold, node: int, radius: float):
-    """Unblocked nodes u != node with 0 < distance <= radius, ascending index."""
-    if m.is_blocked(node):
-        raise ValueError(f"node {node} is blocked")
-    x, y = m.coords(node)
-    r = int(math.ceil(radius / m.grid_step))
+def lattice_offsets(radius: float, metric: str):
+    """(dx, dy, distance) for all offsets with 0 < distance <= radius."""
     out = []
+    r = int(np.ceil(radius))
     for dy in range(-r, r + 1):
-        ny_ = y + dy
-        if not (0 <= ny_ < m.ny):
-            continue
         for dx in range(-r, r + 1):
             if dx == 0 and dy == 0:
                 continue
-            nx_ = x + dx
-            if not (0 <= nx_ < m.nx):
-                continue
-            d = m.grid_step * math.hypot(dx, dy)
+            if metric == "euclid":
+                d = float(np.hypot(dx, dy))
+            elif metric == "manhattan":
+                d = float(abs(dx) + abs(dy))
+            elif metric == "cheb":
+                d = float(max(abs(dx), abs(dy)))
+            else:
+                raise ValueError(f"unknown metric {metric!r}")
             if d <= radius + 1e-12:
-                u = ny_ * m.nx + nx_
-                if not m.blocked[u]:
-                    out.append((u, d))
-    out.sort(key=lambda p: p[0])
+                out.append((dx, dy, d))
     return out
+
+
+def lattice_pairs(m: Manifold, radius: float, metric: str):
+    """Arrays (pre, post, dist) of every ordered pair of unblocked nodes
+    with 0 < distance <= radius under `metric`, grouped by offset."""
+    ok = ~m.blocked
+    # empty seeds keep a radius below one step (no offsets) well-defined
+    pres, posts = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
+    dists = [np.empty(0)]
+    # no in-grid offset lies nx + ny or more away under any metric
+    for dx, dy, d in lattice_offsets(min(radius, m.nx + m.ny), metric):
+        px, py = m.xs + dx, m.ys + dy
+        inside = (px >= 0) & (px < m.nx) & (py >= 0) & (py < m.ny)
+        pre = np.nonzero(inside & ok)[0]
+        post = (m.ys[pre] + dy) * m.nx + (m.xs[pre] + dx)
+        keep = ok[post]
+        pres.append(pre[keep])
+        posts.append(post[keep])
+        dists.append(np.full(int(keep.sum()), d))
+    return np.concatenate(pres), np.concatenate(posts), np.concatenate(dists)

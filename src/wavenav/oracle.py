@@ -10,7 +10,10 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .manifold import Manifold, neighbors_within
+import numpy as np
+import scipy.sparse as sp
+
+from .manifold import Manifold, lattice_pairs
 
 FIFO = "FIFO"
 LIFO = "LIFO"
@@ -29,12 +32,12 @@ class Graph:
 
 def build_graph(m: Manifold, radius: float = 1.0) -> Graph:
     """Lattice graph with edges up to `radius` (1 -> 4-conn, sqrt(2) -> 8-conn)."""
-    adjacency: list[list[int]] = [[] for _ in range(m.n)]
-    for node in range(m.n):
-        if m.blocked[node]:
-            continue
-        adjacency[node] = [u for u, _ in neighbors_within(m, node, radius)]
-    return Graph(m.n, adjacency)
+    pre, post, _ = lattice_pairs(m, radius, "euclid")
+    adj = sp.csr_matrix((np.ones(len(pre), dtype=bool), (pre, post)),
+                        shape=(m.n, m.n))
+    adj.sort_indices()
+    indices, indptr = adj.indices.tolist(), adj.indptr.tolist()
+    return Graph(m.n, [indices[lo:hi] for lo, hi in zip(indptr, indptr[1:])])
 
 
 def traverse(g: Graph, s: int, policy: str = FIFO) -> dict[int, int]:
@@ -75,4 +78,4 @@ def geometric_length(path, m: Manifold) -> float:
         ax, ay = m.coords(a)
         bx, by = m.coords(b)
         total += math.hypot(ax - bx, ay - by)
-    return m.grid_step * total
+    return total

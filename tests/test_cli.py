@@ -76,6 +76,14 @@ def test_malformed_values_exit_three(tmp_path, capsys):
     assert "seed must be >= 0" in capsys.readouterr().err
     assert main(["sweep", het, "--seeds=-2..0"]) == 3
     assert "negative seed" in capsys.readouterr().err
+    # usage errors: argparse's own exit code 2 would read as "exhausted"
+    assert main(["run"]) == 3
+    assert "required: config" in capsys.readouterr().err
+    assert main(["sweep", het, "--seeds", "-2..0"]) == 3
+    assert "expected one argument" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as done:
+        main(["run", "--help"])
+    assert done.value.code == 0
 
 
 def test_numerical_failure_exit_four(tmp_path, capsys):

@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wavenav.manifold import (build_manifold, euclidean_distance,
-                              neighbors_within)
+                              lattice_offsets)
+from wavenav.oracle import build_graph
 
 
 def test_index_is_row_major():
@@ -74,32 +75,34 @@ def test_euclidean_distance_values():
 def test_neighbor_counts():
     m = build_manifold(9, 9)
     center = m.index(4, 4)
-    assert len(neighbors_within(m, center, 1.0)) == 4
-    assert len(neighbors_within(m, center, 2.0)) == 12
+    assert len(build_graph(m, 1.0).neighbors(center)) == 4
+    assert len(build_graph(m, math.sqrt(2)).neighbors(center)) == 8
+    assert len(build_graph(m, 2.0).neighbors(center)) == 12
     corner = m.index(0, 0)
-    assert len(neighbors_within(m, corner, 1.0)) == 2
+    assert len(build_graph(m, 1.0).neighbors(corner)) == 2
 
 
 def test_neighbor_distances_at_radius_two():
-    m = build_manifold(9, 9)
-    dists = sorted(d for _, d in neighbors_within(m, m.index(4, 4), 2.0))
+    dists = sorted(d for _, _, d in lattice_offsets(2.0, "euclid"))
     expected = sorted([1.0] * 4 + [math.sqrt(2)] * 4 + [2.0] * 4)
     assert dists == pytest.approx(expected)
 
 
 def test_neighbors_sorted_and_within_radius():
     m = build_manifold(12, 7, obstacles=[(5, 0, 6, 6)])
+    g = build_graph(m, 2.0)
     for node in range(m.n):
         if m.is_blocked(node):
             continue
-        pairs = neighbors_within(m, node, 2.0)
-        indices = [u for u, _ in pairs]
+        indices = g.neighbors(node)
         assert indices == sorted(indices)
         assert node not in indices
-        for u, d in pairs:
-            assert not m.is_blocked(u)
-            assert 0 < d <= 2.0 + 1e-12
-            assert d == pytest.approx(euclidean_distance(m, node, u))
+        x, y = m.coords(node)
+        # every unblocked node within the radius, in ascending index order
+        within = [m.index(px, py) for py in range(m.ny) for px in range(m.nx)
+                  if 0 < math.hypot(px - x, py - y) <= 2.0
+                  and not m.is_blocked(m.index(px, py))]
+        assert indices == within
 
 
 @given(seed=st.integers(0, 999))
@@ -112,14 +115,16 @@ def test_neighbor_relation_is_symmetric(seed):
         blocked[0] = False
     m = build_manifold(nx, ny)
     m.blocked = blocked
+    g = build_graph(m, 2.0)
     open_nodes = [v for v in range(m.n) if not m.is_blocked(v)]
-    neigh = {v: {u for u, _ in neighbors_within(m, v, 2.0)} for v in open_nodes}
     for v in open_nodes:
-        for u in neigh[v]:
-            assert v in neigh[u]
+        for u in g.neighbors(v):
+            assert v in g.neighbors(u)
 
 
-def test_blocked_query_node_rejected():
+def test_blocked_nodes_have_no_edges():
     m = build_manifold(5, 5, obstacles=[(2, 2, 2, 2)])
-    with pytest.raises(ValueError):
-        neighbors_within(m, m.index(2, 2), 1.0)
+    g = build_graph(m, 2.0)
+    b = m.index(2, 2)
+    assert g.neighbors(b) == []
+    assert all(b not in g.neighbors(v) for v in range(m.n))

@@ -7,11 +7,10 @@ scheme, same substep count) before this module existed.
 import numpy as np
 import pytest
 
-from wavenav import wave
-from wavenav.manifold import build_manifold
-from wavenav.wave import (FS, RS, NumericalError, SynapseConfig,
-                          build_synapses, init_neurons, lattice_offsets,
-                          randomize_synapses, set_stimulus, step_wave)
+from wavenav import manifold
+from wavenav.manifold import build_manifold, lattice_offsets
+from wavenav.wave import (NumericalError, SynapseConfig, build_synapses,
+                          init_neurons, set_stimulus, step_wave)
 
 # isolated RS neuron, dc = 25, v_floor = -90: first twelve spike times
 SPIKES_SUBSTEPS_2 = [2, 6, 16, 36, 56, 78, 100, 124, 144, 164, 186, 209]
@@ -76,6 +75,58 @@ def test_rs_neuron_matches_scalar_reference_exactly(substeps):
     assert run_isolated(1000, substeps) == scalar_reference(1000, substeps)
 
 
+def population_reference(state, tables, steps):
+    """Step E and I as two separate populations, the pre-stacking scheme.
+
+    Yields (v_e, u_e, v_i, u_i) after every step.
+    """
+    n = state.manifold.n
+    a_e, b_e, c_e, d_e = (p[:n] for p in (state.a, state.b, state.c, state.d))
+    a_i, b_i, c_i, d_i = (p[n:] for p in (state.a, state.b, state.c, state.d))
+    v_e, u_e = state.v[:n].copy(), state.u[:n].copy()
+    v_i, u_i = state.v[n:].copy(), state.u[n:].copy()
+    se, si = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    h = 1.0 / state.substeps
+    for _ in range(steps):
+        fe, fi = se.astype(float), si.astype(float)
+        i_e = state.dc + tables.ee @ fe + tables.ie @ fi
+        i_i = tables.ei @ fe
+        for _ in range(state.substeps):
+            v_e += h * (0.04 * v_e * v_e + 5.0 * v_e + 140.0 - u_e + i_e)
+            u_e += h * (a_e * (b_e * v_e - u_e))
+            v_i += h * (0.04 * v_i * v_i + 5.0 * v_i + 140.0 - u_i + i_i)
+            u_i += h * (a_i * (b_i * v_i - u_i))
+            np.maximum(v_e, state.v_floor, out=v_e)
+            np.maximum(v_i, state.v_floor, out=v_i)
+        se, si = v_e >= 30.0, v_i >= 30.0
+        v_e[se] = c_e[se]
+        u_e[se] += d_e[se]
+        v_i[si] = c_i[si]
+        u_i[si] += d_i[si]
+        yield v_e, u_e, v_i, u_i
+
+
+@pytest.mark.parametrize("mode,seed", [("homogeneous", None),
+                                       ("heterogeneous", 3)])
+@pytest.mark.parametrize("metric", ["manhattan", "euclid", "cheb"])
+def test_stacked_step_matches_population_reference(metric, mode, seed):
+    m = build_manifold(21, 21, obstacles=[(12, 3, 13, 15)])
+    tables = build_synapses(m, SynapseConfig(d_e=3.0, d_i=3.0, metric=metric))
+    state = init_neurons(m, mode=mode, seed=seed)
+    set_stimulus(state, m.index(5, 10), True)
+    reference = population_reference(state, tables, 300)
+    n = m.n
+    fired = 0
+    for t, (v_e, u_e, v_i, u_i) in enumerate(reference):
+        se, si = step_wave(state, tables)
+        fired += int(si.sum())
+        assert np.array_equal(state.v, np.concatenate((v_e, v_i))), t
+        assert np.array_equal(state.u, np.concatenate((u_e, u_i))), t
+        assert np.array_equal(se, state.spikes[:n])
+        assert np.array_equal(si, state.spikes[n:])
+    assert fired > 0
+
+
 def test_rest_is_silent_for_1e5_steps():
     assert run_isolated(100_000, 2, dc=0.0) == []
 
@@ -90,32 +141,36 @@ def test_rest_state_drifts_down_not_up():
 def test_initial_state_is_rest():
     m = build_manifold(5, 5)
     state = init_neurons(m)
-    assert np.all(state.v_e == -65.0)
-    assert np.all(state.u_e == -13.0)
-    assert np.all(state.v_i == -65.0)
-    assert np.all(state.u_i == pytest.approx(-13.0))
-    assert np.all(state.dc == 0.0)
+    n = m.n
+    assert state.v.shape == state.u.shape == state.spikes.shape == (2 * n,)
+    assert np.all(state.v == -65.0)
+    assert np.all(state.u[:n] == -13.0)
+    assert np.all(state.u[n:] == pytest.approx(-13.0))
+    assert not state.spikes.any()
+    assert state.dc.shape == (n,) and np.all(state.dc == 0.0)
 
 
 def test_homogeneous_parameters():
     m = build_manifold(5, 5)
     state = init_neurons(m)
-    assert np.all(state.a_e == RS.a) and np.all(state.d_e == RS.d)
-    assert np.all(state.a_i == FS.a) and np.all(state.d_i == FS.d)
-    assert (RS.a, RS.b, RS.c, RS.d) == (0.02, 0.2, -65.0, 8.0)
-    assert (FS.a, FS.b, FS.c, FS.d) == (0.1, 0.2, -65.0, 2.0)
+    n = m.n
+    params = np.stack((state.a, state.b, state.c, state.d))
+    # regular spiking (RS) E neurons, fast spiking (FS) I neurons, exactly
+    assert np.all(params[:, :n].T == (0.02, 0.2, -65.0, 8.0))
+    assert np.all(params[:, n:].T == (0.1, 0.2, -65.0, 2.0))
 
 
 def test_heterogeneous_parameter_ranges_and_coupling():
     m = build_manifold(21, 21)
     state = init_neurons(m, mode="heterogeneous", seed=7)
-    c, d = state.c_e, state.d_e
+    n = m.n
+    c, d = state.c[:n], state.d[:n]
     assert np.all((c >= -65.0) & (c <= -50.0))
     assert np.all((d >= 2.0) & (d <= 8.0))
     # c and d are driven by the same draw: d = 8 - 0.4 * (c + 65)
     assert np.allclose(d, 8.0 - 0.4 * (c + 65.0))
-    assert np.all((state.a_i >= 0.02) & (state.a_i <= 0.1))
-    assert np.all((state.b_i >= 0.2) & (state.b_i <= 0.25))
+    assert np.all((state.a[n:] >= 0.02) & (state.a[n:] <= 0.1))
+    assert np.all((state.b[n:] >= 0.2) & (state.b[n:] <= 0.25))
     # r_e = 1 endpoint of the excitatory maps
     assert -65.0 + 15.0 * 1.0 ** 2 == -50.0
     assert 8.0 - 6.0 * 1.0 ** 2 == 2.0
@@ -126,8 +181,8 @@ def test_heterogeneous_is_seeded():
     s1 = init_neurons(m, mode="heterogeneous", seed=3)
     s2 = init_neurons(m, mode="heterogeneous", seed=3)
     s3 = init_neurons(m, mode="heterogeneous", seed=4)
-    assert np.array_equal(s1.c_e, s2.c_e)
-    assert not np.array_equal(s1.c_e, s3.c_e)
+    assert np.array_equal(s1.c, s2.c) and np.array_equal(s1.a, s2.a)
+    assert not np.array_equal(s1.c[:m.n], s3.c[:m.n])
     with pytest.raises(ValueError):
         init_neurons(m, mode="heterogeneous")
     with pytest.raises(ValueError):
@@ -191,6 +246,14 @@ def test_synapses_avoid_blocked_nodes():
         assert mat[:, b].count_nonzero() == 0
 
 
+def test_sub_unit_range_builds_empty_excitatory_tables():
+    m = build_manifold(5, 5)
+    tables = build_synapses(m, SynapseConfig(d_e=0.5, d_i=0.5))
+    assert tables.ee.nnz == 0 and tables.ei.nnz == 0
+    # i->e keeps only its d = 0 entries
+    assert np.array_equal(tables.ie.toarray(), -200.0 * np.eye(m.n))
+
+
 def test_synapse_config_validation():
     with pytest.raises(ValueError):
         SynapseConfig(s_ee_max=-1.0).validate()
@@ -207,14 +270,14 @@ def test_synapse_config_validation():
 @pytest.mark.parametrize("metric", ["manhattan", "euclid", "cheb"])
 def test_kernel_radius_is_bounded_by_the_lattice(metric, monkeypatch):
     m = build_manifold(7, 5, obstacles=[(3, 1, 3, 2)])
-    listed = wave.lattice_offsets
+    listed = manifold.lattice_offsets
 
     def bounded(radius, metric):
         # an unbounded radius would list ~4e18 offsets and never return
         assert radius <= m.nx + m.ny
         return listed(radius, metric)
 
-    monkeypatch.setattr(wave, "lattice_offsets", bounded)
+    monkeypatch.setattr(manifold, "lattice_offsets", bounded)
     far = build_synapses(m, SynapseConfig(d_e=1e9, d_i=1e9, metric=metric))
     edge = build_synapses(m, SynapseConfig(d_e=m.nx + m.ny, d_i=m.nx + m.ny,
                                            metric=metric))
@@ -222,25 +285,6 @@ def test_kernel_radius_is_bounded_by_the_lattice(metric, monkeypatch):
         assert np.array_equal(a.indptr, b.indptr)
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.data, b.data)
-
-
-def test_randomize_synapses():
-    m = build_manifold(9, 9)
-    tables = build_synapses(m)
-    r1 = randomize_synapses(tables, seed=11)
-    r2 = randomize_synapses(tables, seed=11)
-    r3 = randomize_synapses(tables, seed=12)
-    for a, b in ((r1.ee, r2.ee), (r1.ei, r2.ei), (r1.ie, r2.ie)):
-        assert np.array_equal(a.data, b.data)
-    assert not np.array_equal(r1.ee.data, r3.ee.data)
-    # pattern unchanged, each strength within +/- 50 percent, sign kept
-    assert np.array_equal(r1.ee.indices, tables.ee.indices)
-    assert np.array_equal(r1.ee.indptr, tables.ee.indptr)
-    ratio = r1.ee.data / tables.ee.data
-    assert np.all((ratio >= 0.5) & (ratio <= 1.5))
-    assert np.all(r1.ie.data < 0.0)
-    assert np.all((r1.ie.data >= 1.5 * tables.ie.data)
-                  & (r1.ie.data <= 0.5 * tables.ie.data))
 
 
 def test_step_is_deterministic():
@@ -287,8 +331,7 @@ def test_membrane_below_threshold_after_every_step():
     set_stimulus(state, m.index(7, 7), True)
     for _ in range(120):
         step_wave(state, tables)
-        assert np.all(state.v_e < 30.0)
-        assert np.all(state.v_i < 30.0)
+        assert np.all(state.v < 30.0)
 
 
 def test_single_spike_per_front():
@@ -334,9 +377,10 @@ def test_obstacles_are_opaque():
 
 def test_non_finite_state_raises_with_node():
     m = build_manifold(5, 5)
-    state = init_neurons(m)
     tables = build_synapses(m)
-    state.v_e[7] = np.inf
-    with pytest.raises(NumericalError) as err:
-        step_wave(state, tables)
-    assert err.value.node == 7
+    for neuron in (7, m.n + 7):  # the E and the I neuron of node 7
+        state = init_neurons(m)
+        state.v[neuron] = np.inf
+        with pytest.raises(NumericalError) as err:
+            step_wave(state, tables)
+        assert err.value.node == 7

@@ -14,8 +14,8 @@ SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir,
                          "src", "wavenav", "scenarios")
 
 cfg = load_config(os.path.join(SCENARIOS, "simple.cfg"))
-result, outputs = run_scenario(cfg, out_dir=os.path.join("demo_out", "simple"),
-                               frame_stride=25)
+cfg.frame_stride = 25
+result, outputs = run_scenario(cfg, out_dir=os.path.join("demo_out", "simple"))
 
 print("outcome:", result.outcome)
 print("steps:", len(result.trajectory))

@@ -32,20 +32,19 @@ class AttractorParams:
     J: float = 12.0
     sigma: float = 0.03
     T: float = 0.05
-    tau: float = 0.8
     warmup: int = 50
     seed_radius: float = 6.0
     jitter_seed: int | None = None
     jitter_mag: float = 1e-9
 
     def validate(self) -> "AttractorParams":
-        for name in ("J", "sigma", "T", "tau"):
+        for name in ("J", "sigma", "T", "seed_radius"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError("tau must be in [0, 1]")
+        if self.seed_radius <= 0:
+            raise ValueError("seed_radius must be positive")
         if self.warmup < 0:
             raise ValueError("warmup must be >= 0")
         if self.jitter_seed is not None and self.jitter_seed < 0:
@@ -122,13 +121,14 @@ def init_bump(m: Manifold, start: int, p: AttractorParams) -> AttractorState:
     fp = bump_footprint(state).reshape(m.ny, m.nx)
     _, count = ndimage.label(fp, structure=np.ones((3, 3), dtype=int))
     if count != 1:
-        raise RuntimeError(
+        raise BumpLostError(
             f"bump warm-up did not converge to a single component (got {count})")
     return state
 
 
 def step_attractor(state: AttractorState) -> AttractorState:
-    """One attractor update: transfer, stabilize, clip, clamp, renormalize."""
+    """A <- max(J * (gy^T A gx) - T * sum(A), 0), zeroed on blocked
+    nodes and renormalized to unit sum, which cancels any scale of A."""
     total = state.A.sum()
     if total <= 0.0:
         raise BumpLostError("total activity is zero")
@@ -145,8 +145,7 @@ def step_attractor(state: AttractorState) -> AttractorState:
                 U = state.jitter_rows(i.start, i.stop)
                 U *= p.J * gx[m.xs[i, None], m.xs] * gy[m.ys[i, None], m.ys] - p.T
                 B += p.jitter_mag * (state.A[i] @ U)
-    A = (1.0 - p.tau) * B + p.tau * B / total
-    np.maximum(A, 0.0, out=A)
+    A = np.maximum(B, 0.0)
     A[m.blocked] = 0.0
     total = A.sum()
     if total <= 0.0:

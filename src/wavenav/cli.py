@@ -11,8 +11,8 @@ Any config key can be overridden with --set section.key=value
 shortcuts for the corresponding keys.
 
 Exit codes: 0 success or target reached, 2 step budget exhausted,
-3 configuration or usage error, 4 numerical failure (bump lost or
-non-finite neuron state).
+3 configuration or usage error, 4 numerical failure (bump lost, a
+warm-up that leaves no single bump, or non-finite neuron state).
 """
 from __future__ import annotations
 
@@ -23,14 +23,16 @@ import sys
 
 from .config import ConfigError, apply_overrides, parse_config, scenario_name
 from .io import REPORT_HEADER
-from .planner import PlanResult
-from .runner import WAVE_COMPLETED, exit_code_for, run_scenario, verify_scenario
+from .planner import BUMP_LOST, EXHAUSTED, REACHED, PlanResult
+from .runner import WAVE_COMPLETED, run_scenario, verify_scenario
 from .wave import NumericalError
 
 EXIT_OK = 0
 EXIT_EXHAUSTED = 2
 EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
+EXIT_CODES = {REACHED: EXIT_OK, WAVE_COMPLETED: EXIT_OK,
+              EXHAUSTED: EXIT_EXHAUSTED, BUMP_LOST: EXIT_NUMERICAL}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,16 +98,16 @@ def _cmd_run(args) -> int:
     print(f"{cfg.name}: {outcome}")
     if outputs.trajectory_csv:
         print(f"trajectory: {outputs.trajectory_csv}")
-    return exit_code_for(outcome)
+    return EXIT_CODES[outcome]
 
 
 def _cmd_render(args) -> int:
     cfg = _load(args)
-    stride = cfg.frame_stride or 10
-    result, outputs = run_scenario(cfg, out_dir=cfg.out_dir, frame_stride=stride)
+    cfg.frame_stride = cfg.frame_stride or 10
+    result, outputs = run_scenario(cfg, out_dir=cfg.out_dir)
     outcome = _outcome_of(result)
     print(f"{cfg.name}: {outcome}, {len(outputs.frames)} frames")
-    return exit_code_for(outcome)
+    return EXIT_CODES[outcome]
 
 
 def _cmd_verify(args) -> int:
@@ -120,7 +122,7 @@ def _cmd_verify(args) -> int:
         fh.write(row + "\n")
     print(REPORT_HEADER)
     print(row)
-    return exit_code_for(result.outcome)
+    return EXIT_CODES[result.outcome]
 
 
 def _parse_seed_range(spec: str) -> range:
@@ -148,7 +150,7 @@ def _cmd_sweep(args) -> int:
         outcome = _outcome_of(result)
         steps = len(result.trajectory) if isinstance(result, PlanResult) else cfg.max_steps
         rows.append(f"{cfg.name},{seed},{outcome},{steps}")
-        if outcome == "reached":
+        if outcome == REACHED:
             reached_steps.append(steps)
         print(f"seed {seed}: {outcome} ({steps} steps)")
     summary = os.path.join(out_root, "sweep.csv")

@@ -19,7 +19,8 @@ Grammar (all sections optional unless noted):
 A section's keys, their types and their defaults are those of its
 dataclass; its `validate` checks their ranges. Numbers must be finite.
 Unknown keys anywhere are rejected. Multi-node "target" is only valid
-together with "start": null (wave-only scenarios with several sources).
+together with "start": null (wave-only scenarios with several sources);
+a start within coupling.arrival_radius of the target is rejected.
 A scenario whose synapse tables and attractor factors would exceed
 MAX_ENTRIES is rejected before any of them is built.
 """
@@ -33,7 +34,7 @@ import typing
 from dataclasses import dataclass, field
 
 from .attractor import AttractorParams
-from .manifold import Manifold, build_manifold
+from .manifold import Manifold, build_manifold, euclidean_distance
 from .planner import CouplingParams
 from .wave import SynapseConfig
 
@@ -263,6 +264,10 @@ def _validate_geometry(cfg: ScenarioConfig) -> None:
             raise ConfigError("start is outside the grid")
         if m.is_blocked(m.index(sx, sy)):
             raise ConfigError("start lies inside an obstacle")
+        gap = euclidean_distance(m, m.index(sx, sy), m.index(*cfg.targets[0]))
+        if gap <= cfg.coupling.arrival_radius:
+            raise ConfigError("start lies within coupling.arrival_radius "
+                              "of the target")
 
 
 def scenario_name(path) -> str:

@@ -70,25 +70,21 @@ def euclidean_distance(m: Manifold, a: int, b: int) -> float:
     return math.hypot(ax - bx, ay - by)
 
 
+# distance of an offset under each metric, from |dx| and |dy|
+METRICS = {"euclid": np.hypot, "manhattan": np.add, "cheb": np.maximum}
+
+
 def lattice_offsets(radius: float, metric: str):
-    """(dx, dy, distance) for all offsets with 0 < distance <= radius."""
-    out = []
-    r = int(np.ceil(radius))
-    for dy in range(-r, r + 1):
-        for dx in range(-r, r + 1):
-            if dx == 0 and dy == 0:
-                continue
-            if metric == "euclid":
-                d = float(np.hypot(dx, dy))
-            elif metric == "manhattan":
-                d = float(abs(dx) + abs(dy))
-            elif metric == "cheb":
-                d = float(max(abs(dx), abs(dy)))
-            else:
-                raise ValueError(f"unknown metric {metric!r}")
-            if d <= radius + 1e-12:
-                out.append((dx, dy, d))
-    return out
+    """(dx, dy, distance) for all offsets with 0 < distance <= radius,
+    row by row (dy outer, dx inner)."""
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    r = max(int(np.ceil(radius)), 0)
+    dy, dx = np.mgrid[-r:r + 1, -r:r + 1]
+    d = METRICS[metric](abs(dx), abs(dy)).astype(float)
+    keep = (d > 0) & (d <= radius + 1e-12)
+    return [(int(x), int(y), float(v))
+            for x, y, v in zip(dx[keep], dy[keep], d[keep])]
 
 
 def lattice_pairs(m: Manifold, radius: float, metric: str):

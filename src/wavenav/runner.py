@@ -8,7 +8,7 @@ from . import io as iomod
 from .config import ConfigError, ScenarioConfig
 from .manifold import Manifold
 from .oracle import build_graph, geometric_length, shortest_path
-from .planner import EXHAUSTED, REACHED, run_planner
+from .planner import run_planner
 from .wave import build_synapses, init_neurons, set_stimulus, step_wave
 
 WAVE_COMPLETED = "completed"
@@ -17,8 +17,8 @@ WAVE_COMPLETED = "completed"
 class ScenarioOutputs:
     """Paths of the artifacts a scenario run produced."""
 
-    def __init__(self, trajectory_csv: str | None = None):
-        self.trajectory_csv = trajectory_csv
+    def __init__(self):
+        self.trajectory_csv: str | None = None
         self.frames: list[str] = []
 
 
@@ -27,9 +27,23 @@ def _require_seed(cfg: ScenarioConfig) -> None:
         raise ConfigError("heterogeneous mode requires a seed (use --seed)")
 
 
-def run_wave_only(cfg: ScenarioConfig, m: Manifold, out_dir: str | None,
-                  frame_stride: int):
-    """Run the wave layer alone, logging spike counts per step."""
+def _frame_writer(out_dir: str | None, stride: int, m: Manifold,
+                  outputs: ScenarioOutputs):
+    """write(t, spikes_e, activity) dumping every stride-th step as a PGM
+    frame into out_dir, or None when no frames are due."""
+    if not (out_dir and stride):
+        return None
+
+    def write(t, spikes_e, activity):
+        if t % stride == 0:
+            frame = os.path.join(out_dir, f"frame_{t:05d}.pgm")
+            iomod.write_frame(frame, spikes_e, activity, m)
+            outputs.frames.append(frame)
+    return write
+
+
+def run_wave_only(cfg: ScenarioConfig, m: Manifold, write_frame=None):
+    """Run the wave layer alone; returns the excitatory spike count per step."""
     syn = cfg.synapse
     state = init_neurons(m, mode=cfg.mode, seed=cfg.seed,
                          substeps=syn.substeps, v_floor=syn.v_floor)
@@ -37,57 +51,44 @@ def run_wave_only(cfg: ScenarioConfig, m: Manifold, out_dir: str | None,
     for tx, ty in cfg.targets:
         set_stimulus(state, m.index(tx, ty), True, amplitude=syn.stim_dc)
     counts = []
-    outputs = ScenarioOutputs()
     for t in range(cfg.max_steps):
         spikes_e, _ = step_wave(state, tables)
         counts.append(int(spikes_e.sum()))
-        if out_dir and frame_stride and t % frame_stride == 0:
-            frame = os.path.join(out_dir, f"frame_{t:05d}.pgm")
-            iomod.write_frame(frame, spikes_e, None, m)
-            outputs.frames.append(frame)
-    if out_dir:
-        path = os.path.join(out_dir, "trajectory.csv")
-        iomod.write_text(path, iomod.format_wave_log(counts))
-        outputs.trajectory_csv = path
-    return counts, outputs
+        if write_frame is not None:
+            write_frame(t, spikes_e, None)
+    return counts
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None,
-                 frame_stride: int | None = None):
+def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None):
     """Execute a scenario; returns (PlanResult | spike counts, outputs).
 
     Scenarios with a start node run the coupled planner; scenarios with
-    "start": null run the wave layer only. Given the same config and
-    seed, emitted files are byte-identical across runs.
+    "start": null run the wave layer only. A frame is written every
+    cfg.frame_stride steps. Given the same config and seed, emitted
+    files are byte-identical across runs.
     """
     _require_seed(cfg)
     m = cfg.build()
-    stride = cfg.frame_stride if frame_stride is None else frame_stride
-    if out_dir is None and (cfg.frame_stride or stride):
+    if out_dir is None and cfg.frame_stride:
         out_dir = cfg.out_dir
+    outputs = ScenarioOutputs()
+    write = _frame_writer(out_dir, cfg.frame_stride, m, outputs)
 
     if cfg.start is None:
-        return run_wave_only(cfg, m, out_dir, stride)
-
-    start = m.index(*cfg.start)
-    target = m.index(*cfg.targets[0])
-    outputs = ScenarioOutputs()
-    observer = None
-    if out_dir and stride:
-        def observer(t, wave_state, bump_state, spikes_e):
-            if t % stride == 0:
-                frame = os.path.join(out_dir, f"frame_{t:05d}.pgm")
-                iomod.write_frame(frame, spikes_e, bump_state.A, m)
-                outputs.frames.append(frame)
-
-    result = run_planner(
-        m, start, target, synapse_cfg=cfg.synapse,
-        attractor_params=cfg.attractor, coupling=cfg.coupling,
-        mode=cfg.mode, seed=cfg.seed, observer=observer)
+        result = run_wave_only(cfg, m, write)
+    else:
+        observer = None if write is None else (
+            lambda t, wave, bump, spikes_e: write(t, spikes_e, bump.A))
+        result = run_planner(
+            m, m.index(*cfg.start), m.index(*cfg.targets[0]),
+            synapse_cfg=cfg.synapse, attractor_params=cfg.attractor,
+            coupling=cfg.coupling, mode=cfg.mode, seed=cfg.seed,
+            observer=observer)
     if out_dir:
-        path = os.path.join(out_dir, "trajectory.csv")
-        iomod.write_text(path, iomod.format_trajectory(result, m))
-        outputs.trajectory_csv = path
+        text = (iomod.format_wave_log(result) if cfg.start is None
+                else iomod.format_trajectory(result, m))
+        outputs.trajectory_csv = os.path.join(out_dir, "trajectory.csv")
+        iomod.write_text(outputs.trajectory_csv, text)
     return result, outputs
 
 
@@ -106,11 +107,3 @@ def verify_scenario(cfg: ScenarioConfig, out_dir: str | None = None):
     bfs_len = geometric_length(path, m) if path else None
     row = iomod.report_row(cfg.name, result, bfs_len)
     return result, row
-
-
-def exit_code_for(outcome: str) -> int:
-    if outcome in (REACHED, WAVE_COMPLETED):
-        return 0
-    if outcome == EXHAUSTED:
-        return 2
-    return 4

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .manifold import Manifold, lattice_pairs
+from .manifold import METRICS, Manifold, lattice_pairs
 
 STIM_DC = 25.0
 
@@ -38,9 +38,9 @@ class NumericalError(RuntimeError):
 class SynapseConfig:
     """Wave-layer settings: synapse kernels, integration and drive.
 
-    Strengths fall off as s_max / d with d measured under `metric`
-    ("manhattan", "euclid" or "cheb"). Excitatory kernels skip d = 0;
-    the inhibitory-to-excitatory kernel includes it. `substeps` and
+    Strengths fall off as s_max / d with d measured under `metric`, a
+    key of manifold.METRICS. Excitatory kernels skip d = 0; the
+    inhibitory-to-excitatory kernel includes it. `substeps` and
     `v_floor` set the Euler integration (see WaveState), `stim_dc` the
     current into each stimulated node.
     """
@@ -62,7 +62,7 @@ class SynapseConfig:
             raise ValueError("s_ie_max must be negative")
         if self.d_e <= 0 or self.d_i <= 0:
             raise ValueError("synapse ranges must be positive")
-        if self.metric not in ("manhattan", "euclid", "cheb"):
+        if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")

@@ -76,13 +76,30 @@ def test_step_matches_dense_reference():
             rng = np.random.default_rng(p.jitter_seed)
             W *= 1.0 + p.jitter_mag * rng.uniform(-1.0, 1.0, (m.n, m.n))
         B = state.A @ W
-        expected = (1.0 - p.tau) * B + p.tau * B / state.A.sum()
-        expected = np.maximum(expected, 0.0)
+        expected = np.maximum(B, 0.0)
         expected[m.blocked] = 0.0
         expected /= expected.sum()
         step_attractor(state)
         np.testing.assert_allclose(state.A, expected, rtol=1e-12, atol=1e-15)
         assert np.all(state.A[m.blocked] == 0.0)
+
+
+def test_step_is_invariant_to_the_scale_of_A():
+    # the update renormalizes, so a positive scale of A leaves the next
+    # state unchanged
+    m = build_manifold(7, 5, obstacles=[(2, 1, 3, 2)])
+    A = np.random.default_rng(1).random(m.n)
+    A[m.blocked] = 0.0
+    A /= A.sum()
+    for p in (AttractorParams(), AttractorParams(jitter_seed=3, jitter_mag=0.01)):
+        steps = []
+        for k in (1.0, 1e-3, 3.7, 1e3):
+            state = AttractorState(m, p)
+            state.set_delta((0.03, -0.02))
+            state.A = k * A
+            steps.append(step_attractor(state).A)
+        for other in steps[1:]:
+            np.testing.assert_allclose(other, steps[0], rtol=1e-12, atol=0.0)
 
 
 def test_memory_grows_with_the_axes_not_the_node_count():
@@ -109,7 +126,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         AttractorParams(sigma=0.0).validate()
     with pytest.raises(ValueError):
-        AttractorParams(tau=1.5).validate()
+        AttractorParams(seed_radius=0.0).validate()
     with pytest.raises(ValueError):
         AttractorParams(J=float("nan")).validate()
     with pytest.raises(ValueError):

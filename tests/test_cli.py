@@ -2,6 +2,7 @@ import json
 import os
 
 import pytest
+from conftest import scenario_path
 
 from wavenav.cli import main
 
@@ -63,7 +64,10 @@ def test_malformed_values_exit_three(tmp_path, capsys):
                   {"grid": 5}, {"synapse": 3}, {"seed": -1},
                   {"attractor": {"jitter_seed": -1}},
                   {"grid": {"nx": 100000, "ny": 100000}},
-                  {"grid": {"nx": 201, "ny": 201}, "synapse": {"d_e": 1e9}}):
+                  {"grid": {"nx": 201, "ny": 201}, "synapse": {"d_e": 1e9}},
+                  {"start": [16, 16]}, {"start": [4, 4], "target": [5, 5]},
+                  {"coupling": {"arrival_radius": 1e300}},
+                  {"attractor": {"seed_radius": 0}}):
         cfg = write_cfg(tmp_path, "bad", **extra)
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3, extra
         assert "config error" in capsys.readouterr().err
@@ -92,9 +96,16 @@ def test_numerical_failure_exit_four(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_bump_lost_exit_four(tmp_path):
+def test_bump_lost_exit_four(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "dim", attractor={"J": 0.01})
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 4
+    # warm-ups that end in two components (a start against the s_maze
+    # wall, no relaxation) or in none (a kernel narrower than one node)
+    maze = scenario_path("s_maze")
+    for extra in (["--set", "start=[20,12]", "--set", "attractor.warmup=0"],
+                  ["--set", "attractor.sigma=1e-200"]):
+        assert main(["run", maze, "--out", str(tmp_path / "m")] + extra) == 4
+        assert "bump_lost" in capsys.readouterr().out
 
 
 def test_heterogeneous_requires_seed(tmp_path, capsys):

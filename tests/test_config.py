@@ -26,17 +26,10 @@ def test_minimal_config_gets_all_defaults():
     assert cfg.synapse.substeps == 2 and cfg.synapse.v_floor == -90.0
     assert cfg.synapse.stim_dc == 25.0
     assert cfg.attractor.J == 12.0 and cfg.attractor.sigma == 0.03
-    assert cfg.attractor.T == 0.05 and cfg.attractor.tau == 0.8
+    assert cfg.attractor.T == 0.05
     assert cfg.coupling.R == 12 and cfg.coupling.arrival_radius == 2.0
     assert cfg.coupling.max_steps == 1000
     assert cfg.frame_stride == 0 and cfg.out_dir == "out"
-
-
-def test_explicit_tau():
-    raw = json.loads(MINIMAL)
-    raw["attractor"] = {"tau": 0.8}
-    cfg = parse_config(json.dumps(raw))
-    assert cfg.attractor.tau == 0.8
 
 
 def test_unknown_keys_rejected_with_location():
@@ -47,6 +40,10 @@ def test_unknown_keys_rejected_with_location():
     raw = json.loads(MINIMAL)
     raw["speed"] = 3
     with pytest.raises(ConfigError, match="speed.*top level"):
+        parse_config(json.dumps(raw))
+    raw = json.loads(MINIMAL)
+    raw["attractor"] = {"tau": 0.8}
+    with pytest.raises(ConfigError, match="tau.*attractor"):
         parse_config(json.dumps(raw))
 
 
@@ -133,6 +130,10 @@ def test_invalid_parameter_combinations():
     ("synapse", 3, "synapse must be an object"),
     ("seed", -1, "seed must be >= 0"),
     ("attractor", {"jitter_seed": -1}, "attractor: jitter_seed must be >= 0"),
+    ("start", [36, 36], "start lies within coupling.arrival_radius"),
+    ("start", [35, 35], "start lies within coupling.arrival_radius"),
+    ("coupling", {"arrival_radius": 1e300}, "start lies within"),
+    ("attractor", {"seed_radius": 0}, "attractor: seed_radius must be positive"),
 ])
 def test_malformed_values_are_config_errors(key, value, match):
     raw = json.loads(MINIMAL)

@@ -1,4 +1,4 @@
-"""The demos that drive the wave layer and the oracle directly still run."""
+"""The quick demos still run against the library API."""
 import os
 import runpy
 
@@ -10,6 +10,8 @@ DEMOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
 
 @pytest.mark.parametrize("script,expect", [
     ("01_expanding_wave.py", "expansion speed"),
+    ("02_bump_basics.py", "centers while driven east"),
+    ("03_simple_traversal.py", "frames:"),
     ("05_annihilation.py", "midpoint spike times"),
     ("07_oracle.py", "reachable nodes"),
 ])

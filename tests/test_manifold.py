@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -86,6 +87,24 @@ def test_neighbor_distances_at_radius_two():
     dists = sorted(d for _, _, d in lattice_offsets(2.0, "euclid"))
     expected = sorted([1.0] * 4 + [math.sqrt(2)] * 4 + [2.0] * 4)
     assert dists == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("metric", ["euclid", "manhattan", "cheb"])
+def test_lattice_offsets_match_loop_reference(metric):
+    # np.hypot, as the synapse tables always used: math.hypot differs
+    # from it in the last bit for some offsets
+    distance = {"euclid": lambda dx, dy: float(np.hypot(dx, dy)),
+                "manhattan": lambda dx, dy: float(abs(dx) + abs(dy)),
+                "cheb": lambda dx, dy: float(max(abs(dx), abs(dy)))}[metric]
+    for radius in (0.5, 1, math.sqrt(2), 1.5, 2, 3, 7.3, 50, 82):
+        r = math.ceil(radius)
+        expected = [(dx, dy, distance(dx, dy))
+                    for dy in range(-r, r + 1) for dx in range(-r, r + 1)
+                    if (dx, dy) != (0, 0) and distance(dx, dy) <= radius + 1e-12]
+        got = lattice_offsets(radius, metric)
+        assert got == expected
+        assert all(type(v) is t for row in got
+                   for v, t in zip(row, (int, int, float)))
 
 
 def test_neighbors_sorted_and_within_radius():

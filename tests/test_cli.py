@@ -99,8 +99,8 @@ def test_numerical_failure_exit_four(tmp_path, capsys):
 def test_bump_lost_exit_four(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "dim", attractor={"J": 0.01})
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 4
-    # warm-ups that end in two components (a start against the s_maze
-    # wall, no relaxation) or in none (a kernel narrower than one node)
+    # warm-ups that end in two components (an unrelaxed seed straddling
+    # an s_maze wall) or in none (a kernel narrower than one node)
     maze = scenario_path("s_maze")
     for extra in (["--set", "start=[20,12]", "--set", "attractor.warmup=0"],
                   ["--set", "attractor.sigma=1e-200"]):

@@ -43,6 +43,8 @@ class AttractorParams:
                 raise ValueError(f"{name} must be finite")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
+        if self.sigma * self.sigma == 0:
+            raise ValueError("sigma is so small that its square underflows to 0")
         if self.seed_radius <= 0:
             raise ValueError("seed_radius must be positive")
         if self.warmup < 0:
@@ -89,8 +91,10 @@ class AttractorState:
         """Factors (gx, gy): weight i -> j is J * gx[xi, xj] * gy[yi, yj] - T."""
         if self._g is None:
             s2 = self.params.sigma * self.params.sigma
-            self._g = tuple(np.exp(-(o + d) ** 2 / s2)
-                            for o, d in zip(self._offsets, self.delta))
+            # an exponent that overflows to -inf is the kernel's exact 0
+            with np.errstate(over="ignore"):
+                self._g = tuple(np.exp(-(o + d) ** 2 / s2)
+                                for o, d in zip(self._offsets, self.delta))
         return self._g
 
     def jitter_rows(self, lo: int, hi: int) -> np.ndarray:

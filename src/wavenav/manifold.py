@@ -1,8 +1,9 @@
 """2D lattice manifold with rectangular obstacles.
 
 Nodes are indexed row-major: index = y * nx + x. Distances are in
-lattice units. `lattice_pairs` lists the node pairs within a radius;
-it builds both the wave layer's synapse tables and the oracle's graph.
+lattice units. `lattice_pairs` walks the node pairs within a radius,
+one lattice offset at a time; it builds both the wave layer's synapse
+tables and the oracle's graph.
 """
 from __future__ import annotations
 
@@ -88,12 +89,11 @@ def lattice_offsets(radius: float, metric: str):
 
 
 def lattice_pairs(m: Manifold, radius: float, metric: str):
-    """Arrays (pre, post, dist) of every ordered pair of unblocked nodes
-    with 0 < distance <= radius under `metric`, grouped by offset."""
+    """Walk the lattice offsets 0 < distance <= radius under `metric`
+    in `lattice_offsets` order. For each offset that joins at least one
+    pair of unblocked nodes, yield (pre, post, dist): the arrays of those
+    pairs, pre ascending, and their common distance."""
     ok = ~m.blocked
-    # empty seeds keep a radius below one step (no offsets) well-defined
-    pres, posts = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
-    dists = [np.empty(0)]
     # no in-grid offset lies nx + ny or more away under any metric
     for dx, dy, d in lattice_offsets(min(radius, m.nx + m.ny), metric):
         px, py = m.xs + dx, m.ys + dy
@@ -101,7 +101,5 @@ def lattice_pairs(m: Manifold, radius: float, metric: str):
         pre = np.nonzero(inside & ok)[0]
         post = (m.ys[pre] + dy) * m.nx + (m.xs[pre] + dx)
         keep = ok[post]
-        pres.append(pre[keep])
-        posts.append(post[keep])
-        dists.append(np.full(int(keep.sum()), d))
-    return np.concatenate(pres), np.concatenate(posts), np.concatenate(dists)
+        if keep.any():
+            yield pre[keep], post[keep], d

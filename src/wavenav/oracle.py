@@ -32,7 +32,12 @@ class Graph:
 
 def build_graph(m: Manifold, radius: float = 1.0) -> Graph:
     """Lattice graph with edges up to `radius` (1 -> 4-conn, sqrt(2) -> 8-conn)."""
-    pre, post, _ = lattice_pairs(m, radius, "euclid")
+    # empty seeds keep a radius below one step (no pairs) well-defined
+    pres, posts = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
+    for pre, post, _ in lattice_pairs(m, radius, "euclid"):
+        pres.append(pre)
+        posts.append(post)
+    pre, post = np.concatenate(pres), np.concatenate(posts)
     adj = sp.csr_matrix((np.ones(len(pre), dtype=bool), (pre, post)),
                         shape=(m.n, m.n))
     adj.sort_indices()

@@ -11,14 +11,16 @@ Both populations live in one stacked state of 2n neurons: entry k < n
 is the E neuron of node k, entry n + k its I partner.
 
 Synaptic transmission is delayed by one step: the input current of
-step t is computed from the spikes of step t-1.
+step t is computed from the spikes of step t-1. Every membrane is
+integrated on every step, but spikes travel as events: the input is
+summed from the fan-out table rows of only the neurons that spiked, as
+a front is a thin ring of spikes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .manifold import METRICS, Manifold, lattice_pairs
 
@@ -71,34 +73,50 @@ class SynapseConfig:
 
 @dataclass
 class SynapseTables:
-    """Sparse post-by-pre strength matrices for e->e, e->i and i->e."""
+    """Pre-major fan-out tables of the three synapse kernels.
 
-    ee: sp.csr_matrix
-    ei: sp.csr_matrix
-    ie: sp.csr_matrix
+    Slot j of every row of `e_posts` (n x K_e, int32) is the j-th
+    lattice offset within d_e that joins any pair: row k holds the node
+    that offset reaches from node k, or the sink n where it leaves the
+    lattice or either end is blocked. The slot carries strength `ee[j]`
+    onto that node's E neuron and `ei[j]` onto its I neuron. `i_posts`
+    and `ie` do the same for i->e within d_i; their slot 0 is the node
+    itself (d = 0).
+    """
+
+    e_posts: np.ndarray
+    ee: np.ndarray
+    ei: np.ndarray
+    i_posts: np.ndarray
+    ie: np.ndarray
 
 
-def _kernel_matrix(m: Manifold, s_max: float, radius: float, metric: str,
-                   include_zero: bool) -> sp.csr_matrix:
-    pre, post, d = lattice_pairs(m, radius, metric)
-    vals = s_max / d
-    if include_zero:
-        own = np.flatnonzero(~m.blocked)
-        pre, post = np.concatenate((own, pre)), np.concatenate((own, post))
-        vals = np.concatenate((np.full(len(own), s_max), vals))
-    mat = sp.csr_matrix((vals, (post, pre)), shape=(m.n, m.n))
-    mat.sort_indices()
-    return mat
+def _fan_out(m: Manifold, radius: float, metric: str, own: bool):
+    """Posts (n x K, int32) and slot distances (K) of one kernel; with
+    `own`, slot 0 is each unblocked node itself at distance 0."""
+    sink = np.int32(m.n)
+    cols = [np.where(m.blocked, sink, np.arange(m.n, dtype=np.int32))] if own else []
+    dists = [0.0] if own else []
+    for pre, post, d in lattice_pairs(m, radius, metric):
+        col = np.full(m.n, sink)
+        col[pre] = post
+        cols.append(col)
+        dists.append(d)
+    posts = np.empty((m.n, len(cols)), dtype=np.int32)
+    for j, col in enumerate(cols):
+        posts[:, j] = col
+    return posts, np.array(dists)
 
 
 def build_synapses(m: Manifold, cfg: SynapseConfig = SynapseConfig()) -> SynapseTables:
-    """Build the three strength tables; blocked nodes get no entries."""
+    """Build the fan-out tables; blocked nodes get no entries."""
     cfg.validate()
+    e_posts, e_dist = _fan_out(m, cfg.d_e, cfg.metric, own=False)
+    i_posts, i_dist = _fan_out(m, cfg.d_i, cfg.metric, own=True)
     return SynapseTables(
-        ee=_kernel_matrix(m, cfg.s_ee_max, cfg.d_e, cfg.metric, include_zero=False),
-        ei=_kernel_matrix(m, cfg.s_ei_max, cfg.d_e, cfg.metric, include_zero=False),
-        ie=_kernel_matrix(m, cfg.s_ie_max, cfg.d_i, cfg.metric, include_zero=True),
-    )
+        e_posts=e_posts, ee=cfg.s_ee_max / e_dist, ei=cfg.s_ei_max / e_dist,
+        i_posts=i_posts,
+        ie=np.concatenate(([cfg.s_ie_max], cfg.s_ie_max / i_dist[1:])))
 
 
 class WaveState:
@@ -173,16 +191,32 @@ def _check_finite(arr: np.ndarray, label: str, n: int) -> None:
 def step_wave(state: WaveState, tables: SynapseTables):
     """Advance both populations by one 1 ms step.
 
-    Input currents come from the previous step's spikes. Returns the
-    boolean spike masks (excitatory, inhibitory) of this step, each of
-    length n.
+    Input currents come from the previous step's spikes, through the
+    fan-out rows of the neurons that spiked. Returns the boolean spike
+    masks (excitatory, inhibitory) of this step, each of length n.
     """
     n = state.manifold.n
-    f = state.spikes.astype(float)
-    # table by table, in this order: one block matrix would sum the same
-    # terms in another order and move v in its last bits
-    i_syn = np.concatenate((state.dc + tables.ee @ f[:n] + tables.ie @ f[n:],
-                            tables.ei @ f[:n]))
+    fired = np.flatnonzero(state.spikes)
+    split = fired.searchsorted(n)
+    # bincount adds each bin's terms to 0.0 in input order. Rows come in
+    # ascending pre order and name each post at most once, so every input
+    # is the sum a CSR row product over the 0/1 spike vector gives, to
+    # the bit (a silent pre adds only +-0.0 there). e->e fills bins
+    # 0..n, e->i bins n+1..2n+1; bins n and 2n+1 are the sinks.
+    e_rows = tables.e_posts[fired[:split]]
+    e_in = np.bincount(
+        np.concatenate((e_rows, e_rows + (n + 1)), axis=1).ravel(),
+        np.concatenate((tables.ee, tables.ei))[None].repeat(len(e_rows), 0).ravel(),
+        minlength=2 * (n + 1))
+    i_rows = tables.i_posts[fired[split:] - n]
+    i_in = np.bincount(i_rows.ravel(), tables.ie[None].repeat(len(i_rows), 0).ravel(),
+                       minlength=n + 1)
+    # with no rows, bincount returns int64 zeros
+    ee, ei = e_in.astype(float, copy=False).reshape(2, n + 1)[:, :n]
+    ie = i_in.astype(float, copy=False)[:n]
+    # e->e and i->e summed apart, in this order: one sum over both
+    # would add the same terms in another order and move v in its last bits
+    i_syn = np.concatenate((state.dc + ee + ie, ei))
 
     v, u = state.v, state.u
     h = 1.0 / state.substeps

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,16 @@ def test_params_validation():
         AttractorParams(warmup=-1).validate()
     with pytest.raises(ValueError):
         AttractorParams(jitter_seed=-1).validate()
+
+
+def test_tiny_sigma_is_a_one_node_kernel_without_warnings():
+    # sigma^2 is subnormal: off-diagonal exponents overflow to -inf
+    m = build_manifold(9, 7)
+    state = AttractorState(m, AttractorParams(sigma=1e-160))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gx, gy = state.weights()
+    assert np.array_equal(gx, np.eye(9)) and np.array_equal(gy, np.eye(7))
 
 
 def test_init_bump_centers_on_start():

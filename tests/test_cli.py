@@ -67,7 +67,8 @@ def test_malformed_values_exit_three(tmp_path, capsys):
                   {"grid": {"nx": 201, "ny": 201}, "synapse": {"d_e": 1e9}},
                   {"start": [16, 16]}, {"start": [4, 4], "target": [5, 5]},
                   {"coupling": {"arrival_radius": 1e300}},
-                  {"attractor": {"seed_radius": 0}}):
+                  {"attractor": {"seed_radius": 0}},
+                  {"attractor": {"sigma": 1e-200}}):
         cfg = write_cfg(tmp_path, "bad", **extra)
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3, extra
         assert "config error" in capsys.readouterr().err
@@ -100,10 +101,10 @@ def test_bump_lost_exit_four(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "dim", attractor={"J": 0.01})
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 4
     # warm-ups that end in two components (an unrelaxed seed straddling
-    # an s_maze wall) or in none (a kernel narrower than one node)
+    # an s_maze wall) or in none (inhibition above any excitation)
     maze = scenario_path("s_maze")
     for extra in (["--set", "start=[20,12]", "--set", "attractor.warmup=0"],
-                  ["--set", "attractor.sigma=1e-200"]):
+                  ["--set", "attractor.T=1e3"]):
         assert main(["run", maze, "--out", str(tmp_path / "m")] + extra) == 4
         assert "bump_lost" in capsys.readouterr().out
 

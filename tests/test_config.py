@@ -134,6 +134,7 @@ def test_invalid_parameter_combinations():
     ("start", [35, 35], "start lies within coupling.arrival_radius"),
     ("coupling", {"arrival_radius": 1e300}, "start lies within"),
     ("attractor", {"seed_radius": 0}, "attractor: seed_radius must be positive"),
+    ("attractor", {"sigma": 1e-200}, "attractor: sigma .* underflows"),
 ])
 def test_malformed_values_are_config_errors(key, value, match):
     raw = json.loads(MINIMAL)

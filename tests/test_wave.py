@@ -4,8 +4,13 @@ The single-neuron reference values were frozen from an independent
 scalar implementation of the two membrane equations (same Euler
 scheme, same substep count) before this module existed.
 """
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wavenav import manifold
 from wavenav.manifold import build_manifold, lattice_offsets
@@ -75,22 +80,40 @@ def test_rs_neuron_matches_scalar_reference_exactly(substeps):
     assert run_isolated(1000, substeps) == scalar_reference(1000, substeps)
 
 
-def population_reference(state, tables, steps):
-    """Step E and I as two separate populations, the pre-stacking scheme.
+def post_by_pre(posts, strengths):
+    """Dense post-by-pre strength matrix of one fan-out table."""
+    n = len(posts)
+    mat = np.zeros((n + 1, n))  # row n collects the sink slots
+    mat[posts, np.arange(n)[:, None]] = strengths
+    return mat[:n]
 
-    Yields (v_e, u_e, v_i, u_i) after every step.
+
+def dense_tables(tables):
+    """(ee, ei, ie) as dense post-by-pre matrices."""
+    return (post_by_pre(tables.e_posts, tables.ee),
+            post_by_pre(tables.e_posts, tables.ei),
+            post_by_pre(tables.i_posts, tables.ie))
+
+
+def population_reference(state, tables, steps):
+    """Step E and I as two separate populations, the pre-stacking scheme,
+    with input from CSR products over the whole spike vectors.
+
+    Starts from the state's spikes; yields (v_e, u_e, v_i, u_i) after
+    every step.
     """
     n = state.manifold.n
+    ee, ei, ie = (sp.csr_matrix(mat) for mat in dense_tables(tables))
     a_e, b_e, c_e, d_e = (p[:n] for p in (state.a, state.b, state.c, state.d))
     a_i, b_i, c_i, d_i = (p[n:] for p in (state.a, state.b, state.c, state.d))
     v_e, u_e = state.v[:n].copy(), state.u[:n].copy()
     v_i, u_i = state.v[n:].copy(), state.u[n:].copy()
-    se, si = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    se, si = state.spikes[:n].copy(), state.spikes[n:].copy()
     h = 1.0 / state.substeps
     for _ in range(steps):
         fe, fi = se.astype(float), si.astype(float)
-        i_e = state.dc + tables.ee @ fe + tables.ie @ fi
-        i_i = tables.ei @ fe
+        i_e = state.dc + ee @ fe + ie @ fi
+        i_i = ei @ fe
         for _ in range(state.substeps):
             v_e += h * (0.04 * v_e * v_e + 5.0 * v_e + 140.0 - u_e + i_e)
             u_e += h * (a_e * (b_e * v_e - u_e))
@@ -106,6 +129,23 @@ def population_reference(state, tables, steps):
         yield v_e, u_e, v_i, u_i
 
 
+def assert_steps_match_reference(state, tables, steps):
+    """Run `step_wave` beside the reference; v and u must agree to the
+    bit after every step. Returns the (E, I) spike counts."""
+    reference = population_reference(state, tables, steps)
+    n = state.manifold.n
+    fired_e = fired_i = 0
+    for t, (v_e, u_e, v_i, u_i) in enumerate(reference):
+        se, si = step_wave(state, tables)
+        fired_e += int(se.sum())
+        fired_i += int(si.sum())
+        assert np.array_equal(state.v, np.concatenate((v_e, v_i))), t
+        assert np.array_equal(state.u, np.concatenate((u_e, u_i))), t
+        assert np.array_equal(se, state.spikes[:n])
+        assert np.array_equal(si, state.spikes[n:])
+    return fired_e, fired_i
+
+
 @pytest.mark.parametrize("mode,seed", [("homogeneous", None),
                                        ("heterogeneous", 3)])
 @pytest.mark.parametrize("metric", ["manhattan", "euclid", "cheb"])
@@ -114,17 +154,56 @@ def test_stacked_step_matches_population_reference(metric, mode, seed):
     tables = build_synapses(m, SynapseConfig(d_e=3.0, d_i=3.0, metric=metric))
     state = init_neurons(m, mode=mode, seed=seed)
     set_stimulus(state, m.index(5, 10), True)
-    reference = population_reference(state, tables, 300)
-    n = m.n
-    fired = 0
-    for t, (v_e, u_e, v_i, u_i) in enumerate(reference):
-        se, si = step_wave(state, tables)
-        fired += int(si.sum())
-        assert np.array_equal(state.v, np.concatenate((v_e, v_i))), t
-        assert np.array_equal(state.u, np.concatenate((u_e, u_i))), t
-        assert np.array_equal(se, state.spikes[:n])
-        assert np.array_equal(si, state.spikes[n:])
+    _, fired = assert_steps_match_reference(state, tables, 300)
     assert fired > 0
+
+
+@pytest.mark.parametrize("silent", ["E", "I"])
+@pytest.mark.parametrize("metric", ["manhattan", "euclid", "cheb"])
+def test_step_with_one_silent_population_matches_reference(metric, silent):
+    # with no rows to sum, bincount returns int64 zeros; the fractional
+    # strengths at d_i = 3 (-200/3) would show any truncation of the input
+    m = build_manifold(21, 21, obstacles=[(12, 3, 13, 15)])
+    tables = build_synapses(m, SynapseConfig(d_e=3.0, d_i=3.0, metric=metric))
+    state = init_neurons(m)
+    n = m.n
+    rng = np.random.default_rng(5)
+    state.v += rng.uniform(0.0, 60.0, 2 * n)
+    fired = rng.random(n) < 0.2
+    if silent == "E":
+        state.spikes[n:] = fired
+    else:
+        state.spikes[:n] = fired
+    assert_steps_match_reference(state, tables, 20)
+
+
+def test_empty_excitatory_rows_match_reference():
+    # d_e < 1 lists no e->e or e->i offset: every E row is empty
+    m = build_manifold(21, 21, obstacles=[(12, 3, 13, 15)])
+    tables = build_synapses(m, SynapseConfig(d_e=0.5, d_i=3.0))
+    assert tables.e_posts.shape == (m.n, 0)
+    state = init_neurons(m)
+    set_stimulus(state, m.index(5, 10), True)
+    fired_e, _ = assert_steps_match_reference(state, tables, 100)
+    assert fired_e > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), nx=st.integers(3, 12), ny=st.integers(3, 12),
+       metric=st.sampled_from(["manhattan", "euclid", "cheb"]),
+       d_e=st.floats(0.5, 4.0), d_i=st.floats(0.5, 4.0))
+def test_one_step_matches_csr_reference_property(data, nx, ny, metric, d_e, d_i):
+    x0 = data.draw(st.integers(0, nx - 1))
+    x1 = data.draw(st.integers(x0, nx - 1))
+    y0 = data.draw(st.integers(0, ny - 1))
+    y1 = data.draw(st.integers(y0, ny - 1))
+    assume((x1 - x0 + 1) * (y1 - y0 + 1) < nx * ny)  # some node is free
+    m = build_manifold(nx, ny, obstacles=[(x0, y0, x1, y1)])
+    tables = build_synapses(m, SynapseConfig(d_e=d_e, d_i=d_i, metric=metric))
+    state = init_neurons(m)
+    state.spikes = np.array(data.draw(st.lists(
+        st.booleans(), min_size=2 * m.n, max_size=2 * m.n)))
+    assert_steps_match_reference(state, tables, 1)
 
 
 def test_rest_is_silent_for_1e5_steps():
@@ -216,15 +295,14 @@ def test_lattice_offsets_metrics():
 def test_synapse_kernel_strengths():
     m = build_manifold(9, 9)
     tables = build_synapses(m, SynapseConfig())
-    ee = tables.ee.toarray()
-    ie = tables.ie.toarray()
+    ee, ei, ie = dense_tables(tables)
     c = m.index(4, 4)
     assert ee[m.index(5, 4), c] == 50.0          # d = 1 -> s / 1
     assert ee[m.index(6, 4), c] == 25.0          # d = 2 -> s / 2
     assert ee[m.index(5, 5), c] == 25.0          # manhattan diagonal d = 2
     assert ee[c, c] == 0.0                       # no self-excitation
     assert ee[m.index(7, 4), c] == 0.0           # beyond range
-    assert tables.ei[c, c] == 0.0                # no co-located e->i entry
+    assert ei[c, c] == 0.0                       # no co-located e->i entry
     assert ie[c, c] == -200.0                    # i->e includes d = 0
     assert ie[m.index(5, 4), c] == -200.0 / 1.0
 
@@ -233,25 +311,25 @@ def test_synapse_kernel_literal_form():
     # the d = 0 entry of i->e carries s_ie_max itself
     m = build_manifold(5, 5)
     cfg = SynapseConfig(s_ie_max=-9.0)
-    tables = build_synapses(m, cfg)
-    assert tables.ie[m.index(2, 2), m.index(2, 2)] == -9.0
+    _, _, ie = dense_tables(build_synapses(m, cfg))
+    assert ie[m.index(2, 2), m.index(2, 2)] == -9.0
 
 
 def test_synapses_avoid_blocked_nodes():
     m = build_manifold(9, 9, obstacles=[(4, 4, 4, 4)])
     tables = build_synapses(m)
     b = m.index(4, 4)
-    for mat in (tables.ee, tables.ei, tables.ie):
-        assert mat[b].count_nonzero() == 0
-        assert mat[:, b].count_nonzero() == 0
+    for mat in dense_tables(tables):
+        assert np.count_nonzero(mat[b]) == 0
+        assert np.count_nonzero(mat[:, b]) == 0
 
 
 def test_sub_unit_range_builds_empty_excitatory_tables():
     m = build_manifold(5, 5)
-    tables = build_synapses(m, SynapseConfig(d_e=0.5, d_i=0.5))
-    assert tables.ee.nnz == 0 and tables.ei.nnz == 0
+    ee, ei, ie = dense_tables(build_synapses(m, SynapseConfig(d_e=0.5, d_i=0.5)))
+    assert np.count_nonzero(ee) == 0 and np.count_nonzero(ei) == 0
     # i->e keeps only its d = 0 entries
-    assert np.array_equal(tables.ie.toarray(), -200.0 * np.eye(m.n))
+    assert np.array_equal(ie, -200.0 * np.eye(m.n))
 
 
 def test_synapse_config_validation():
@@ -281,10 +359,8 @@ def test_kernel_radius_is_bounded_by_the_lattice(metric, monkeypatch):
     far = build_synapses(m, SynapseConfig(d_e=1e9, d_i=1e9, metric=metric))
     edge = build_synapses(m, SynapseConfig(d_e=m.nx + m.ny, d_i=m.nx + m.ny,
                                            metric=metric))
-    for a, b in zip((far.ee, far.ei, far.ie), (edge.ee, edge.ei, edge.ie)):
-        assert np.array_equal(a.indptr, b.indptr)
-        assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.data, b.data)
+    for a, b in zip(dataclasses.astuple(far), dataclasses.astuple(edge)):
+        assert np.array_equal(a, b)
 
 
 def test_step_is_deterministic():

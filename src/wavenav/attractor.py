@@ -103,7 +103,11 @@ class AttractorState:
         n = self.manifold.n
         self._rng.state = self._rng_start
         self._rng.advance(int(lo) * n)
-        return np.random.Generator(self._rng).uniform(-1.0, 1.0, (hi - lo, n))
+        # uniform(-1, 1) is -1 + 2 * random(), draw for draw and bit for bit
+        U = np.random.Generator(self._rng).random((hi - lo, n))
+        U *= 2.0
+        U -= 1.0
+        return U
 
 
 def init_bump(m: Manifold, start: int, p: AttractorParams) -> AttractorState:
@@ -141,13 +145,16 @@ def step_attractor(state: AttractorState) -> AttractorState:
     B = p.J * (gy.T @ state.A.reshape(m.ny, m.nx) @ gx).ravel() - p.T * total
     if p.jitter_seed is not None:
         # add W[i, j] * jitter_mag * U[i, j] over the active pre-units i,
-        # one lattice row of them at a time
-        for lo in range(0, m.n, m.nx):
-            nz = np.flatnonzero(state.A[lo:lo + m.nx]) + lo
+        # one lattice row y of them at a time; row i of W is the outer
+        # product of gy[y] and J * gx[xi], less T, flattened row-major
+        for y, lo in enumerate(range(0, m.n, m.nx)):
+            nz = np.flatnonzero(state.A[lo:lo + m.nx])
             if nz.size:
-                i = slice(nz[0], nz[-1] + 1)
+                x = slice(nz[0], nz[-1] + 1)
+                i = slice(lo + x.start, lo + x.stop)
                 U = state.jitter_rows(i.start, i.stop)
-                U *= p.J * gx[m.xs[i, None], m.xs] * gy[m.ys[i, None], m.ys] - p.T
+                W = (p.J * gx[x, None, :]) * gy[y, :, None] - p.T
+                U *= W.reshape(len(U), m.n)
                 B += p.jitter_mag * (state.A[i] @ U)
     A = np.maximum(B, 0.0)
     A[m.blocked] = 0.0

@@ -140,9 +140,12 @@ def _parse_seed_range(spec: str) -> range:
 
 def _cmd_sweep(args) -> int:
     seeds = _parse_seed_range(args.seeds)
-    out_root = _load(args).out_dir
+    base = _load(args)
+    out_root = base.out_dir
+    # a wave-only config (no start) succeeds by completing its steps
+    success = WAVE_COMPLETED if base.start is None else REACHED
     rows = []
-    reached_steps = []
+    done_steps = []
     for seed in seeds:
         cfg = _load(args)
         cfg.seed = seed
@@ -150,8 +153,8 @@ def _cmd_sweep(args) -> int:
         outcome = _outcome_of(result)
         steps = len(result.trajectory) if isinstance(result, PlanResult) else cfg.max_steps
         rows.append(f"{cfg.name},{seed},{outcome},{steps}")
-        if outcome == REACHED:
-            reached_steps.append(steps)
+        if outcome == success:
+            done_steps.append(steps)
         print(f"seed {seed}: {outcome} ({steps} steps)")
     summary = os.path.join(out_root, "sweep.csv")
     os.makedirs(out_root, exist_ok=True)
@@ -159,10 +162,10 @@ def _cmd_sweep(args) -> int:
         fh.write("scenario,seed,outcome,steps\n")
         for row in rows:
             fh.write(row + "\n")
-    print(f"reached {len(reached_steps)}/{len(rows)}"
-          + (f", median steps {statistics.median(reached_steps):g}"
-             if reached_steps else ""))
-    return EXIT_OK if reached_steps else EXIT_EXHAUSTED
+    print(f"{success} {len(done_steps)}/{len(rows)}"
+          + (f", median steps {statistics.median(done_steps):g}"
+             if done_steps else ""))
+    return EXIT_OK if done_steps else EXIT_EXHAUSTED
 
 
 def main(argv=None) -> int:

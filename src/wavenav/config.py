@@ -45,8 +45,8 @@ class ConfigError(ValueError):
 
 # Largest scenario accepted, in estimated entries of one wave-layer
 # synapse table plus the attractor's two kernel factors (see _check_size).
-# Runs just under it (210x210 with synapse range 10, 490x490 with 4 and
-# 1330x1330 with 1, "cheb" metric) peak at 1.5-1.6 GB resident.
+# Runs just under it peak at about 0.6 GB resident (575 MB for 1330x1330
+# with synapse range 1, 315 MB for 210x210 with range 10, "cheb" metric).
 MAX_ENTRIES = 20_000_000
 
 _OUTPUT_KEYS = {"frame_stride", "directory"}

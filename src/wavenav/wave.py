@@ -140,6 +140,9 @@ class WaveState:
         self.spikes = np.zeros(2 * m.n, dtype=bool)
         self.substeps = int(substeps)
         self.v_floor = v_floor
+        # scratch for the Euler update, reused by every step
+        self._dv = np.empty(2 * m.n)
+        self._t = np.empty(2 * m.n)
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
 
@@ -218,13 +221,28 @@ def step_wave(state: WaveState, tables: SynapseTables):
     # would add the same terms in another order and move v in its last bits
     i_syn = np.concatenate((state.dc + ee + ie, ei))
 
-    v, u = state.v, state.u
+    v, u, dv, t = state.v, state.u, state._dv, state._t
     h = 1.0 / state.substeps
     # overflow surfaces as NumericalError below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(state.substeps):
-            v += h * (0.04 * v * v + 5.0 * v + 140.0 - u + i_syn)
-            u += h * (state.a * (state.b * v - u))
+            # v += h * (0.04 * v * v + 5.0 * v + 140.0 - u + i_syn), the
+            # same operations in the same order, without temporaries
+            np.multiply(v, 0.04, out=dv)
+            dv *= v
+            np.multiply(v, 5.0, out=t)
+            dv += t
+            dv += 140.0
+            dv -= u
+            dv += i_syn
+            dv *= h
+            v += dv
+            # u += h * (a * (b * v - u))
+            np.multiply(state.b, v, out=dv)
+            dv -= u
+            dv *= state.a
+            dv *= h
+            u += dv
             if state.v_floor is not None:
                 np.maximum(v, state.v_floor, out=v)
 
@@ -232,7 +250,7 @@ def step_wave(state: WaveState, tables: SynapseTables):
     _check_finite(u, "u", n)
 
     s = v >= 30.0
-    v[s] = state.c[s]
-    u[s] += state.d[s]
+    np.copyto(v, state.c, where=s)
+    np.add(u, state.d, out=u, where=s)
     state.spikes = s
     return s[:n], s[n:]

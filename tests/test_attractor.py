@@ -103,6 +103,53 @@ def test_step_is_invariant_to_the_scale_of_A():
             np.testing.assert_allclose(other, steps[0], rtol=1e-12, atol=0.0)
 
 
+def reference_jitter_step(A, state, field):
+    """One update of A with the jitter term built from uniform(-1, 1)
+    draws and two-gather weight rows, one lattice row of active units
+    at a time; the bits step_attractor must reproduce."""
+    p, m = state.params, state.manifold
+    gx, gy = state.weights()
+    B = p.J * (gy.T @ A.reshape(m.ny, m.nx) @ gx).ravel() - p.T * A.sum()
+    for lo in range(0, m.n, m.nx):
+        nz = np.flatnonzero(A[lo:lo + m.nx]) + lo
+        if nz.size:
+            i = slice(nz[0], nz[-1] + 1)
+            U = field[i].copy()
+            U *= p.J * gx[m.xs[i, None], m.xs] * gy[m.ys[i, None], m.ys] - p.T
+            B += p.jitter_mag * (A[i] @ U)
+    B = np.maximum(B, 0.0)
+    B[m.blocked] = 0.0
+    return B / B.sum()
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("lattice", ["7x5_obstacle", "9x6_all_active"])
+def test_jitter_term_is_bitwise_the_reference(seed, lattice):
+    # a reordered sum passes test_step_matches_dense_reference's
+    # tolerance; here every bit of A must match after every step
+    if lattice == "7x5_obstacle":
+        m = build_manifold(7, 5, obstacles=[(2, 1, 3, 2)])
+        A = np.random.default_rng(0).random(m.n)
+        A[m.blocked] = 0.0
+        A[[0, 1, 9, 20]] = 0.0
+        deltas = [(0.03, -0.02), (-0.01, 0.04)]
+    else:
+        m = build_manifold(9, 6)
+        A = 0.5 + np.random.default_rng(1).random(m.n)
+        deltas = [(0.0, 0.0), (0.02, 0.01)]
+    p = AttractorParams(jitter_seed=seed, jitter_mag=0.01)
+    field = np.random.default_rng(seed).uniform(-1.0, 1.0, (m.n, m.n))
+    state = AttractorState(m, p)
+    state.A = A / A.sum()
+    expected = state.A.copy()
+    assert lattice != "9x6_all_active" or np.all(expected > 0.0)
+    for t in range(20):
+        state.set_delta(deltas[t // 10])
+        expected = reference_jitter_step(expected, state, field)
+        step_attractor(state)
+        assert np.array_equal(state.A, expected), t
+
+
 def test_memory_grows_with_the_axes_not_the_node_count():
     # an 81x81 lattice has 6561 units; one dense n x n float64 table
     # alone would take 344 MB

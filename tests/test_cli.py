@@ -169,6 +169,16 @@ def test_sweep_partitions_outputs_per_seed(tmp_path, capsys):
     assert "reached" in capsys.readouterr().out
 
 
+def test_wave_only_sweep_counts_completed_runs(tmp_path, capsys):
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", scenario_path("two_sources"), "--seeds", "0..1",
+                 "--max-steps", "20", "--out", out]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("completed 2/2")
+    with open(os.path.join(out, "sweep.csv")) as fh:
+        assert fh.read().splitlines()[1:] == [
+            "two_sources,0,completed,20", "two_sources,1,completed,20"]
+
+
 def test_sweep_rejects_bad_ranges(tiny_cfg, capsys):
     assert main(["sweep", tiny_cfg, "--seeds", "5"]) == 3
     assert main(["sweep", tiny_cfg, "--seeds", "7..3"]) == 3

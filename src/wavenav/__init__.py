@@ -13,8 +13,8 @@ from .attractor import (AttractorParams, AttractorState, BumpLostError,
 from .config import ConfigError, ScenarioConfig, load_config, parse_config
 from .manifold import (Manifold, build_manifold, euclidean_distance,
                        lattice_offsets)
-from .oracle import (FIFO, LIFO, Graph, build_graph, geometric_length,
-                     hop_count, shortest_path, traverse)
+from .oracle import (FIFO, LIFO, build_graph, geometric_length, hop_count,
+                     shortest_path, traverse)
 from .planner import (BUMP_LOST, EXHAUSTED, REACHED, CouplingParams,
                       PlanResult, StepRecord, detect_overlap,
                       direction_vector, path_length, run_planner)
@@ -30,7 +30,7 @@ __all__ = [
     "init_bump", "step_attractor",
     "ConfigError", "ScenarioConfig", "load_config", "parse_config",
     "Manifold", "build_manifold", "euclidean_distance", "lattice_offsets",
-    "FIFO", "LIFO", "Graph", "build_graph", "geometric_length", "hop_count",
+    "FIFO", "LIFO", "build_graph", "geometric_length", "hop_count",
     "shortest_path", "traverse",
     "BUMP_LOST", "EXHAUSTED", "REACHED", "CouplingParams", "PlanResult",
     "StepRecord", "detect_overlap", "direction_vector", "path_length",

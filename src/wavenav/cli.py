@@ -13,10 +13,14 @@ shortcuts for the corresponding keys.
 Exit codes: 0 success or target reached, 2 step budget exhausted,
 3 configuration or usage error, 4 numerical failure (bump lost, a
 warm-up that leaves no single bump, or non-finite neuron state).
+A sweep exits 0 if any of its runs succeeds; otherwise it exits with
+the highest code among its runs' outcomes (4 if any run lost the
+bump, else 2).
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import statistics
 import sys
@@ -146,15 +150,16 @@ def _cmd_sweep(args) -> int:
     success = WAVE_COMPLETED if base.start is None else REACHED
     rows = []
     done_steps = []
+    exit_code = EXIT_OK
     for seed in seeds:
-        cfg = _load(args)
-        cfg.seed = seed
+        cfg = dataclasses.replace(base, seed=seed)
         result, _ = run_scenario(cfg, out_dir=os.path.join(out_root, f"seed_{seed}"))
         outcome = _outcome_of(result)
         steps = len(result.trajectory) if isinstance(result, PlanResult) else cfg.max_steps
         rows.append(f"{cfg.name},{seed},{outcome},{steps}")
         if outcome == success:
             done_steps.append(steps)
+        exit_code = max(exit_code, EXIT_CODES[outcome])
         print(f"seed {seed}: {outcome} ({steps} steps)")
     summary = os.path.join(out_root, "sweep.csv")
     os.makedirs(out_root, exist_ok=True)
@@ -165,7 +170,7 @@ def _cmd_sweep(args) -> int:
     print(f"{success} {len(done_steps)}/{len(rows)}"
           + (f", median steps {statistics.median(done_steps):g}"
              if done_steps else ""))
-    return EXIT_OK if done_steps else EXIT_EXHAUSTED
+    return EXIT_OK if done_steps else exit_code
 
 
 def main(argv=None) -> int:

@@ -31,7 +31,8 @@ import json
 import math
 import os
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .attractor import AttractorParams
 from .manifold import Manifold, build_manifold, euclidean_distance
@@ -58,23 +59,25 @@ _TOP_KEYS = {"grid", "obstacles", "start", "target", "mode", "seed",
 class ScenarioConfig:
     nx: int
     ny: int
-    obstacles: list = field(default_factory=list)
-    start: tuple[int, int] | None = None
-    targets: list = field(default_factory=list)
-    mode: str = "homogeneous"
-    seed: int | None = None
-    synapse: SynapseConfig = field(default_factory=SynapseConfig)
-    attractor: AttractorParams = field(default_factory=AttractorParams)
-    coupling: CouplingParams = field(default_factory=CouplingParams)
-    frame_stride: int = 0
-    out_dir: str = "out"
-    name: str = "scenario"
+    obstacles: list
+    start: tuple[int, int] | None
+    targets: list
+    mode: str
+    seed: int | None
+    synapse: SynapseConfig
+    attractor: AttractorParams
+    coupling: CouplingParams
+    frame_stride: int
+    out_dir: str
+    name: str
 
     @property
     def max_steps(self) -> int:
         return self.coupling.max_steps
 
-    def build(self) -> Manifold:
+    @cached_property
+    def manifold(self) -> Manifold:
+        """The lattice, built once; nothing changes the geometry after parsing."""
         return build_manifold(self.nx, self.ny, self.obstacles)
 
 
@@ -249,7 +252,7 @@ def _check_size(cfg: ScenarioConfig) -> None:
 
 def _validate_geometry(cfg: ScenarioConfig) -> None:
     try:
-        m = cfg.build()
+        m = cfg.manifold
     except ValueError as e:
         raise ConfigError(f"obstacles: {e}") from e
     for i, (tx, ty) in enumerate(cfg.targets):

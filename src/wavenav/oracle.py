@@ -2,8 +2,9 @@
 
 A generic traversal with a FIFO frontier is breadth-first search and
 yields hop-minimal parent chains; a LIFO frontier is depth-first
-search. Both visit exactly the connected component of the source and
-iterate neighbors in ascending node index for determinism.
+search. Both walk the rows of the lattice's CSR adjacency matrix, so
+they visit exactly the connected component of the source and iterate
+neighbors in ascending node index for determinism.
 """
 from __future__ import annotations
 
@@ -19,19 +20,9 @@ FIFO = "FIFO"
 LIFO = "LIFO"
 
 
-class Graph:
-    """Undirected, unweighted adjacency lists; no blocked endpoints."""
-
-    def __init__(self, n: int, adjacency: list[list[int]]):
-        self.n = n
-        self.adjacency = adjacency
-
-    def neighbors(self, node: int) -> list[int]:
-        return self.adjacency[node]
-
-
-def build_graph(m: Manifold, radius: float = 1.0) -> Graph:
-    """Lattice graph with edges up to `radius` (1 -> 4-conn, sqrt(2) -> 8-conn)."""
+def build_graph(m: Manifold, radius: float = 1.0) -> sp.csr_matrix:
+    """Lattice graph with edges up to `radius` (1 -> 4-conn, sqrt(2) -> 8-conn):
+    a symmetric boolean CSR adjacency matrix with sorted rows."""
     # empty seeds keep a radius below one step (no pairs) well-defined
     pres, posts = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
     for pre, post, _ in lattice_pairs(m, radius, "euclid"):
@@ -41,26 +32,27 @@ def build_graph(m: Manifold, radius: float = 1.0) -> Graph:
     adj = sp.csr_matrix((np.ones(len(pre), dtype=bool), (pre, post)),
                         shape=(m.n, m.n))
     adj.sort_indices()
-    indices, indptr = adj.indices.tolist(), adj.indptr.tolist()
-    return Graph(m.n, [indices[lo:hi] for lo, hi in zip(indptr, indptr[1:])])
+    return adj
 
 
-def traverse(g: Graph, s: int, policy: str = FIFO) -> dict[int, int]:
+def traverse(g: sp.csr_matrix, s: int, policy: str = FIFO) -> dict[int, int]:
     """Generic traversal from s; returns the parent map with p(s) = s."""
     if policy not in (FIFO, LIFO):
         raise ValueError(f"unknown policy {policy!r}")
+    # plain lists: indexing numpy arrays one node at a time is slower
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
     parent = {s: s}
     frontier = deque([s])
     while frontier:
         v = frontier.popleft() if policy == FIFO else frontier.pop()
-        for w in g.neighbors(v):
+        for w in indices[indptr[v]:indptr[v + 1]]:
             if w not in parent:
                 parent[w] = v
                 frontier.append(w)
     return parent
 
 
-def shortest_path(g: Graph, s: int, t: int):
+def shortest_path(g: sp.csr_matrix, s: int, t: int):
     """BFS path from s to t as a node list, or None if unreachable."""
     parent = traverse(g, s, FIFO)
     if t not in parent:

@@ -105,10 +105,9 @@ def run_planner(m: Manifold, start: int, target: int,
     if euclidean_distance(m, start, target) <= coupling.arrival_radius:
         raise ValueError("start lies within the arrival radius of the target")
 
-    wave = init_neurons(m, mode=mode, seed=seed, substeps=synapse_cfg.substeps,
-                        v_floor=synapse_cfg.v_floor)
+    wave = init_neurons(m, synapse_cfg, mode=mode, seed=seed)
     tables = build_synapses(m, synapse_cfg)
-    set_stimulus(wave, target, True, amplitude=synapse_cfg.stim_dc)
+    set_stimulus(wave, target, True)
 
     try:
         bump = init_bump(m, start, attractor_params)

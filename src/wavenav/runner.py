@@ -44,12 +44,10 @@ def _frame_writer(out_dir: str | None, stride: int, m: Manifold,
 
 def run_wave_only(cfg: ScenarioConfig, m: Manifold, write_frame=None):
     """Run the wave layer alone; returns the excitatory spike count per step."""
-    syn = cfg.synapse
-    state = init_neurons(m, mode=cfg.mode, seed=cfg.seed,
-                         substeps=syn.substeps, v_floor=syn.v_floor)
-    tables = build_synapses(m, syn)
+    state = init_neurons(m, cfg.synapse, mode=cfg.mode, seed=cfg.seed)
+    tables = build_synapses(m, cfg.synapse)
     for tx, ty in cfg.targets:
-        set_stimulus(state, m.index(tx, ty), True, amplitude=syn.stim_dc)
+        set_stimulus(state, m.index(tx, ty), True)
     counts = []
     for t in range(cfg.max_steps):
         spikes_e, _ = step_wave(state, tables)
@@ -68,7 +66,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None):
     files are byte-identical across runs.
     """
     _require_seed(cfg)
-    m = cfg.build()
+    m = cfg.manifold
     if out_dir is None and cfg.frame_stride:
         out_dir = cfg.out_dir
     outputs = ScenarioOutputs()
@@ -101,7 +99,7 @@ def verify_scenario(cfg: ScenarioConfig, out_dir: str | None = None):
     if cfg.start is None:
         raise ConfigError("verify requires a scenario with a start node")
     result, _ = run_scenario(cfg, out_dir=out_dir)
-    m = cfg.build()
+    m = cfg.manifold
     graph = build_graph(m, radius=math.sqrt(2.0))
     path = shortest_path(graph, m.index(*cfg.start), m.index(*cfg.targets[0]))
     bfs_len = geometric_length(path, m) if path else None

@@ -24,8 +24,6 @@ import numpy as np
 
 from .manifold import METRICS, Manifold, lattice_pairs
 
-STIM_DC = 25.0
-
 
 class NumericalError(RuntimeError):
     """Non-finite membrane state; carries the lattice node of the first
@@ -55,7 +53,7 @@ class SynapseConfig:
     metric: str = "manhattan"
     substeps: int = 2
     v_floor: float | None = -90.0
-    stim_dc: float = STIM_DC
+    stim_dc: float = 25.0
 
     def validate(self) -> "SynapseConfig":
         if self.s_ee_max <= 0 or self.s_ei_max <= 0:
@@ -126,30 +124,30 @@ class WaveState:
     k < n belongs to the E neuron of node k, entry n + k to its I
     partner. `dc` (length n) is the direct current into each E neuron.
     Blocked nodes keep state entries but have no synapses and may not
-    be stimulated, so they never spike.
+    be stimulated, so they never spike. `substeps`, `v_floor` and
+    `stim_dc` come from the validated SynapseConfig.
     """
 
     def __init__(self, m: Manifold, a: np.ndarray, b: np.ndarray,
-                 c: np.ndarray, d: np.ndarray,
-                 substeps: int = 2, v_floor: float | None = -90.0):
+                 c: np.ndarray, d: np.ndarray, cfg: SynapseConfig):
         self.manifold = m
         self.a, self.b, self.c, self.d = a, b, c, d
         self.v = c.copy()
         self.u = b * self.v
         self.dc = np.zeros(m.n)
         self.spikes = np.zeros(2 * m.n, dtype=bool)
-        self.substeps = int(substeps)
-        self.v_floor = v_floor
+        self.substeps = cfg.substeps
+        self.v_floor = cfg.v_floor
+        self.stim_dc = cfg.stim_dc
         # scratch for the Euler update, reused by every step
         self._dv = np.empty(2 * m.n)
         self._t = np.empty(2 * m.n)
-        if self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
 
 
-def init_neurons(m: Manifold, mode: str = "homogeneous", seed: int | None = None,
-                 substeps: int = 2, v_floor: float | None = -90.0) -> WaveState:
-    """Create neuron populations at rest (v = c, u = b*v, dc = 0).
+def init_neurons(m: Manifold, cfg: SynapseConfig = SynapseConfig(),
+                 mode: str = "homogeneous", seed: int | None = None) -> WaveState:
+    """Create neuron populations at rest (v = c, u = b*v, dc = 0), with
+    the integration and drive settings of `cfg`.
 
     Parameters follow the maps of Izhikevich (2003) over per-neuron
     draws r_e, r_i in [0, 1): E neurons vary from regular spiking
@@ -158,6 +156,7 @@ def init_neurons(m: Manifold, mode: str = "homogeneous", seed: int | None = None
     pair r_e = 0, r_i = 1; heterogeneous mode draws r_e, then r_i, from
     `default_rng(seed)`.
     """
+    cfg.validate()
     n = m.n
     if mode == "homogeneous":
         r_e, r_i = np.zeros(n), np.ones(n)
@@ -173,15 +172,14 @@ def init_neurons(m: Manifold, mode: str = "homogeneous", seed: int | None = None
     b = np.concatenate((np.full(n, 0.2), 0.25 - 0.05 * r_i))
     c = np.concatenate((-65.0 + 15.0 * r_e ** 2, np.full(n, -65.0)))
     d = np.concatenate((8.0 - 6.0 * r_e ** 2, np.full(n, 2.0)))
-    return WaveState(m, a, b, c, d, substeps=substeps, v_floor=v_floor)
+    return WaveState(m, a, b, c, d, cfg)
 
 
-def set_stimulus(state: WaveState, node: int, on: bool,
-                 amplitude: float = STIM_DC) -> None:
-    """Toggle direct current into the excitatory neuron at `node`."""
+def set_stimulus(state: WaveState, node: int, on: bool) -> None:
+    """Toggle direct current `stim_dc` into the excitatory neuron at `node`."""
     if state.manifold.is_blocked(node):
         raise ValueError(f"cannot stimulate blocked node {node}")
-    state.dc[node] = amplitude if on else 0.0
+    state.dc[node] = state.stim_dc if on else 0.0
 
 
 def _check_finite(arr: np.ndarray, label: str, n: int) -> None:

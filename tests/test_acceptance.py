@@ -38,7 +38,7 @@ def source_bursts(spike_frames, sources, gap=5):
 
 def test_criterion_1_diagonal_traversal():
     cfg = load_scenario("simple")
-    m = cfg.build()
+    m = cfg.manifold
     d = euclidean_distance(m, m.index(*cfg.start), m.index(*cfg.targets[0]))
     assert d == np.float64(32.0 * math.sqrt(2.0))
     assert abs(d - 45.25) < 0.01
@@ -70,7 +70,7 @@ def test_criterion_2_wave_velocity():
 
 def test_criterion_3_annihilation():
     cfg = load_scenario("two_sources")
-    m = cfg.build()
+    m = cfg.manifold
     state = init_neurons(m)
     tables = build_synapses(m, cfg.synapse)
     sources = [m.index(x, y) for x, y in cfg.targets]
@@ -117,7 +117,7 @@ def test_criterion_3_annihilation():
 def test_criterion_4_maze_suite(maze_results):
     steps = {}
     for name, (cfg, result, row) in maze_results.items():
-        m = cfg.build()
+        m = cfg.manifold
         assert result.outcome == "reached", name
         for rec in result.trajectory:
             assert not m.is_blocked(rec.bump_center), name
@@ -160,11 +160,11 @@ def test_criterion_7_oracle_correctness():
         g, edges = random_connected_graph(rng)
         rows = [u for u, v in edges] + [v for u, v in edges]
         cols = [v for u, v in edges] + [u for u, v in edges]
-        mat = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(g.n, g.n))
+        mat = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=g.shape)
         dist = floyd_warshall(mat, unweighted=True)
-        s = int(rng.integers(0, g.n))
+        s = int(rng.integers(0, g.shape[0]))
         parent = traverse(g, s, FIFO)
-        for t in range(g.n):
+        for t in range(g.shape[0]):
             assert chain_length(parent, s, t) == int(dist[s, t])
         dfs = traverse(g, s, LIFO)
         assert dfs[s] == s

@@ -109,6 +109,18 @@ def test_bump_lost_exit_four(tmp_path, capsys):
         assert "bump_lost" in capsys.readouterr().out
 
 
+def test_sweep_with_every_bump_lost_exits_four(tmp_path, capsys):
+    # no run succeeds: the sweep exits with its runs' highest code, 4
+    # for bump_lost rather than 2 for an exhausted budget
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", scenario_path("s_maze"), "--seeds", "0..1",
+                 "--set", "attractor.T=1e3", "--out", out]) == 4
+    assert capsys.readouterr().out.splitlines()[-1] == "reached 0/2"
+    with open(os.path.join(out, "sweep.csv")) as fh:
+        assert [row.split(",")[2] for row in fh.read().splitlines()[1:]] == [
+            "bump_lost", "bump_lost"]
+
+
 def test_heterogeneous_requires_seed(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "het", mode="heterogeneous")
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3

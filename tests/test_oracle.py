@@ -6,7 +6,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import floyd_warshall
 
 from wavenav.manifold import build_manifold
-from wavenav.oracle import (FIFO, LIFO, Graph, build_graph, geometric_length,
+from wavenav.oracle import (FIFO, LIFO, build_graph, geometric_length,
                             hop_count, shortest_path, traverse)
 
 
@@ -19,9 +19,22 @@ def chain_length(parent, s, node):
     return length
 
 
+def graph(n, edges):
+    """Symmetric boolean CSR adjacency matrix of undirected `edges`, as
+    build_graph returns: sorted rows, no duplicate entries."""
+    rows = [u for u, v in edges] + [v for u, v in edges]
+    cols = [v for u, v in edges] + [u for u, v in edges]
+    g = csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n, n))
+    g.sort_indices()
+    return g
+
+
+def neighbors(g, v):
+    return g.indices[g.indptr[v]:g.indptr[v + 1]].tolist()
+
+
 def random_connected_graph(rng):
     n = int(rng.integers(2, 21))
-    adjacency = [[] for _ in range(n)]
     edges = set()
     # random spanning tree first, then extra edges
     nodes = list(rng.permutation(n))
@@ -33,16 +46,11 @@ def random_connected_graph(rng):
         u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
         if u != v:
             edges.add((min(u, v), max(u, v)))
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    for row in adjacency:
-        row.sort()
-    return Graph(n, adjacency), edges
+    return graph(n, edges), edges
 
 
 def test_path_graph_parents():
-    g = Graph(3, [[1], [0, 2], [1]])
+    g = graph(3, [(0, 1), (1, 2)])
     parent = traverse(g, 0, FIFO)
     assert parent == {0: 0, 1: 0, 2: 1}
 
@@ -55,7 +63,7 @@ def test_corner_to_corner_hop_count():
 
 
 def test_unknown_policy_rejected():
-    g = Graph(2, [[1], [0]])
+    g = graph(2, [(0, 1)])
     with pytest.raises(ValueError):
         traverse(g, 0, "PRIORITY")
 
@@ -66,12 +74,12 @@ def test_fifo_distances_match_floyd_warshall():
         g, edges = random_connected_graph(rng)
         rows = [u for u, v in edges] + [v for u, v in edges]
         cols = [v for u, v in edges] + [u for u, v in edges]
-        mat = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(g.n, g.n))
+        mat = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=g.shape)
         dist = floyd_warshall(mat, unweighted=True)
-        for s in range(g.n):
+        for s in range(g.shape[0]):
             parent = traverse(g, s, FIFO)
-            assert set(parent) == set(range(g.n))
-            for t in range(g.n):
+            assert set(parent) == set(range(g.shape[0]))
+            for t in range(g.shape[0]):
                 assert chain_length(parent, s, t) == int(dist[s, t])
 
 
@@ -79,17 +87,17 @@ def test_lifo_spanning_tree_terminates_at_source():
     rng = np.random.default_rng(99)
     for _ in range(25):
         g, _ = random_connected_graph(rng)
-        s = int(rng.integers(0, g.n))
+        s = int(rng.integers(0, g.shape[0]))
         parent = traverse(g, s, LIFO)
         assert parent[s] == s
-        assert set(parent) == set(range(g.n))
+        assert set(parent) == set(range(g.shape[0]))
         for node in parent:
             chain_length(parent, s, node)
 
 
 def test_both_policies_visit_exactly_the_component():
     # two components: a 2x2 block and an isolated pair
-    g = Graph(6, [[1, 2], [0, 3], [0, 3], [1, 2], [5], [4]])
+    g = graph(6, [(0, 1), (0, 2), (1, 3), (2, 3), (4, 5)])
     for policy in (FIFO, LIFO):
         assert set(traverse(g, 0, policy)) == {0, 1, 2, 3}
         assert set(traverse(g, 4, policy)) == {4, 5}
@@ -98,15 +106,17 @@ def test_both_policies_visit_exactly_the_component():
 def test_graph_invariants_on_a_maze():
     m = build_manifold(15, 11, obstacles=[(5, 0, 6, 8)])
     g = build_graph(m, radius=math.sqrt(2.0))
-    for v in range(g.n):
-        neigh = g.neighbors(v)
+    assert g.dtype == bool and g.shape == (m.n, m.n)
+    assert (g != g.T).nnz == 0
+    for v in range(m.n):
+        neigh = neighbors(g, v)
         assert v not in neigh
         assert neigh == sorted(neigh)
         if m.is_blocked(v):
             assert neigh == []
         for u in neigh:
             assert not m.is_blocked(u)
-            assert v in g.neighbors(u)
+            assert v in neighbors(g, u)
 
 
 def test_shortest_path_trivial_and_diagonal():

@@ -79,7 +79,7 @@ def test_budget_exhaustion_is_an_outcome():
 
 def test_simple_traversal_invariants(simple_result):
     cfg, result, _ = simple_result
-    m = cfg.build()
+    m = cfg.manifold
     assert result.outcome == "reached"
     assert 6 <= result.wavefronts_used <= 12
 
@@ -110,7 +110,7 @@ def test_path_starts_at_configured_start(simple_result):
 
 def test_obstacle_safety(maze_results):
     for name, (cfg, result, _) in maze_results.items():
-        m = cfg.build()
+        m = cfg.manifold
         assert result.outcome == "reached", name
         for rec in result.trajectory:
             assert not m.is_blocked(rec.bump_center)

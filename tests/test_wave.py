@@ -24,19 +24,20 @@ COUNT_1000_SUBSTEPS_2 = 48
 COUNT_1000_SUBSTEPS_1 = 51
 
 
-def isolated_neuron(substeps=2):
+def isolated_neuron(substeps=2, dc=25.0):
     """3x3 lattice with everything but the center blocked."""
     m = build_manifold(3, 3, obstacles=[(0, 0, 2, 0), (0, 2, 2, 2),
                                         (0, 1, 0, 1), (2, 1, 2, 1)])
-    state = init_neurons(m, substeps=substeps)
-    tables = build_synapses(m)
+    cfg = SynapseConfig(substeps=substeps, stim_dc=dc)
+    state = init_neurons(m, cfg)
+    tables = build_synapses(m, cfg)
     return m, state, tables
 
 
 def run_isolated(steps, substeps, dc=25.0):
-    m, state, tables = isolated_neuron(substeps)
+    m, state, tables = isolated_neuron(substeps, dc)
     center = m.index(1, 1)
-    set_stimulus(state, center, True, amplitude=dc)
+    set_stimulus(state, center, True)
     times = []
     for t in range(steps):
         se, _ = step_wave(state, tables)
@@ -343,6 +344,16 @@ def test_synapse_config_validation():
         SynapseConfig(metric="polar").validate()
     with pytest.raises(ValueError):
         SynapseConfig(substeps=0).validate()
+
+
+def test_init_neurons_validates_its_config():
+    m = build_manifold(5, 5)
+    with pytest.raises(ValueError, match="substeps"):
+        init_neurons(m, SynapseConfig(substeps=0))
+    state = init_neurons(m, SynapseConfig(substeps=3, v_floor=None, stim_dc=7.5))
+    assert (state.substeps, state.v_floor) == (3, None)
+    set_stimulus(state, m.index(2, 2), True)
+    assert state.dc[m.index(2, 2)] == 7.5
 
 
 @pytest.mark.parametrize("metric", ["manhattan", "euclid", "cheb"])

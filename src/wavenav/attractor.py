@@ -38,7 +38,7 @@ class AttractorParams:
     jitter_mag: float = 1e-9
 
     def validate(self) -> "AttractorParams":
-        for name in ("J", "sigma", "T", "seed_radius"):
+        for name in ("J", "sigma", "T", "seed_radius", "jitter_mag"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.sigma <= 0:
@@ -80,6 +80,9 @@ class AttractorState:
         if p.jitter_seed is not None:
             self._rng = np.random.default_rng(p.jitter_seed).bit_generator
             self._rng_start = self._rng.state
+            self._random = np.random.Generator(self._rng).random
+            # per lattice row y: (key, jitter-weighted block or None)
+            self._blocks = {}
 
     def set_delta(self, delta) -> None:
         delta = (float(delta[0]), float(delta[1]))
@@ -97,14 +100,20 @@ class AttractorState:
                                 for o, d in zip(self._offsets, self.delta))
         return self._g
 
-    def jitter_rows(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo..hi-1 of default_rng(jitter_seed).uniform(-1, 1, (n, n)),
-        found by advancing the generator; the field is never stored."""
+    def jitter_rows(self, lo: int, hi: int, c0: int = 0,
+                    c1: int | None = None) -> np.ndarray:
+        """Rows lo..hi-1, columns c0..c1-1 (default all n) of
+        default_rng(jitter_seed).uniform(-1, 1, (n, n)), found by advancing
+        the generator; the field is never stored."""
         n = self.manifold.n
+        c1 = n if c1 is None else c1
+        U = np.empty((hi - lo, c1 - c0))
         self._rng.state = self._rng_start
-        self._rng.advance(int(lo) * n)
+        self._rng.advance(int(lo) * n + int(c0))
+        for row in U:
+            self._random(out=row)
+            self._rng.advance(n - len(row))  # on to column c0 of the next row
         # uniform(-1, 1) is -1 + 2 * random(), draw for draw and bit for bit
-        U = np.random.Generator(self._rng).random((hi - lo, n))
         U *= 2.0
         U -= 1.0
         return U
@@ -142,20 +151,10 @@ def step_attractor(state: AttractorState) -> AttractorState:
         raise BumpLostError("total activity is zero")
     p, m = state.params, state.manifold
     gx, gy = state.weights()
-    B = p.J * (gy.T @ state.A.reshape(m.ny, m.nx) @ gx).ravel() - p.T * total
+    G = (gy.T @ state.A.reshape(m.ny, m.nx) @ gx).ravel()
+    B = p.J * G - p.T * total
     if p.jitter_seed is not None:
-        # add W[i, j] * jitter_mag * U[i, j] over the active pre-units i,
-        # one lattice row y of them at a time; row i of W is the outer
-        # product of gy[y] and J * gx[xi], less T, flattened row-major
-        for y, lo in enumerate(range(0, m.n, m.nx)):
-            nz = np.flatnonzero(state.A[lo:lo + m.nx])
-            if nz.size:
-                x = slice(nz[0], nz[-1] + 1)
-                i = slice(lo + x.start, lo + x.stop)
-                U = state.jitter_rows(i.start, i.stop)
-                W = (p.J * gx[x, None, :]) * gy[y, :, None] - p.T
-                U *= W.reshape(len(U), m.n)
-                B += p.jitter_mag * (state.A[i] @ U)
+        _add_jitter(state, B, G, total, gx, gy)
     A = np.maximum(B, 0.0)
     A[m.blocked] = 0.0
     total = A.sum()
@@ -163,6 +162,54 @@ def step_attractor(state: AttractorState) -> AttractorState:
         raise BumpLostError("activity vanished after update")
     state.A = A / total
     return state
+
+
+def _add_jitter(state: AttractorState, B: np.ndarray, G: np.ndarray,
+                total: float, gx: np.ndarray, gy: np.ndarray) -> None:
+    """Add W[i, j] * jitter_mag * U[i, j] over the active pre-units i to B,
+    bit for bit as over all n columns, but only where it can survive the clip.
+
+    With A >= 0 (every step leaves it so), |U| <= 1 and gx * gy >= 0, the
+    term adds at most |jitter_mag| * (|J| * G[j] + |T| * sum(A)) to column
+    j. A column that stays below 0 even with twice that (2 covers rounding)
+    clips to exactly 0 with or without the term. The others lie in a band
+    of lattice rows, columns c0..c1-1, and only that band is drawn.
+    """
+    p, m = state.params, state.manifold
+    reach = 2.0 * abs(p.jitter_mag) * (abs(p.J) * G + abs(p.T) * total)
+    rows = np.flatnonzero(~(B + reach < 0.0).reshape(m.ny, m.nx).all(axis=1))
+    if not rows.size:
+        return  # nothing survives: the step loses the bump either way
+    ya, yb = int(rows[0]), int(rows[-1]) + 1
+    c0, c1 = ya * m.nx, yb * m.nx
+    # one lattice row y of active units at a time, x0..x1-1 the span of
+    # its nonzero A; row i of W is the outer product of gy[y] and J * gx[xi],
+    # less T, flattened row-major
+    on = (state.A != 0.0).reshape(m.ny, m.nx)
+    ys = np.flatnonzero(on.any(axis=1))
+    x0s = on[ys].argmax(axis=1)
+    x1s = m.nx - on[ys, ::-1].argmax(axis=1)
+    # the product stays n wide, zero outside the band, so that BLAS sums
+    # each band column as it does over the full field; a product over the
+    # band columns alone can round differently. Every chunk writes the
+    # same columns, so one zeroed buffer serves the whole step.
+    Z = np.zeros((int((x1s - x0s).max()), m.n))
+    blocks = {}
+    for y, x0, x1 in zip(ys.tolist(), x0s.tolist(), x1s.tolist()):
+        lo = y * m.nx
+        key = (x0, x1, c0, c1, state.delta)
+        held_key, P = state._blocks.get(y, (None, None))
+        repeated = held_key == key
+        if P is None or not repeated:
+            P = state.jitter_rows(lo + x0, lo + x1, c0, c1)
+            P *= ((p.J * gx[x0:x1, None, :]) * gy[y, ya:yb, None]
+                  - p.T).reshape(len(P), c1 - c0)
+        # a block is held for the next step only once its key has repeated,
+        # so steps whose chunks keep moving (warm-up's first) hold nothing
+        blocks[y] = (key, P if repeated else None)
+        Z[:x1 - x0, c0:c1] = P
+        B += p.jitter_mag * (state.A[lo + x0:lo + x1] @ Z[:x1 - x0])
+    state._blocks = blocks
 
 
 def bump_center(state: AttractorState) -> int:

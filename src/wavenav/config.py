@@ -31,8 +31,7 @@ import json
 import math
 import os
 import typing
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .attractor import AttractorParams
 from .manifold import Manifold, build_manifold, euclidean_distance
@@ -70,15 +69,13 @@ class ScenarioConfig:
     frame_stride: int
     out_dir: str
     name: str
+    # the lattice, built once at parse time: nothing changes the geometry
+    # after parsing, and copies made with dataclasses.replace share it
+    manifold: Manifold = field(repr=False, compare=False)
 
     @property
     def max_steps(self) -> int:
         return self.coupling.max_steps
-
-    @cached_property
-    def manifold(self) -> Manifold:
-        """The lattice, built once; nothing changes the geometry after parsing."""
-        return build_manifold(self.nx, self.ny, self.obstacles)
 
 
 def _reject_unknown(section: dict, allowed, where: str) -> None:
@@ -224,37 +221,37 @@ def parse_config(text: str, name: str = "scenario") -> ScenarioConfig:
     if not isinstance(out_dir, str):
         raise ConfigError("output.directory must be a string")
 
+    _check_size(nx, ny, synapse)
+    try:
+        m = build_manifold(nx, ny, rects)
+    except ValueError as e:
+        raise ConfigError(f"obstacles: {e}") from e
     cfg = ScenarioConfig(
         nx=nx, ny=ny, obstacles=rects, start=start, targets=targets,
         mode=mode, seed=seed, synapse=synapse, attractor=attractor,
         coupling=coupling, frame_stride=frame_stride, out_dir=out_dir,
-        name=name)
-    _check_size(cfg)
+        name=name, manifold=m)
     _validate_geometry(cfg)
     return cfg
 
 
-def _check_size(cfg: ScenarioConfig) -> None:
+def _check_size(nx: int, ny: int, synapse: SynapseConfig) -> None:
     """Reject a scenario whose tables would exceed MAX_ENTRIES.
 
     A synapse table holds at most nx * ny * (2 ceil(r) + 1)^2 entries for
     the larger kernel radius r (capped at nx + ny, as in the wave layer);
     the attractor's kernel factors hold nx^2 + ny^2.
     """
-    r = min(max(cfg.synapse.d_e, cfg.synapse.d_i), cfg.nx + cfg.ny)
-    entries = (cfg.nx * cfg.ny * (2 * math.ceil(r) + 1) ** 2
-               + cfg.nx ** 2 + cfg.ny ** 2)
+    r = min(max(synapse.d_e, synapse.d_i), nx + ny)
+    entries = nx * ny * (2 * math.ceil(r) + 1) ** 2 + nx ** 2 + ny ** 2
     if entries > MAX_ENTRIES:
         raise ConfigError(
-            f"a {cfg.nx}x{cfg.ny} grid with synapse range {r:g} needs about "
+            f"a {nx}x{ny} grid with synapse range {r:g} needs about "
             f"{entries:.3g} table entries, more than the limit {MAX_ENTRIES:.3g}")
 
 
 def _validate_geometry(cfg: ScenarioConfig) -> None:
-    try:
-        m = cfg.manifold
-    except ValueError as e:
-        raise ConfigError(f"obstacles: {e}") from e
+    m = cfg.manifold
     for i, (tx, ty) in enumerate(cfg.targets):
         where = "target" if len(cfg.targets) == 1 else f"target[{i}]"
         if not (0 <= tx < cfg.nx and 0 <= ty < cfg.ny):

@@ -150,6 +150,59 @@ def test_jitter_term_is_bitwise_the_reference(seed, lattice):
         assert np.array_equal(state.A, expected), t
 
 
+@pytest.mark.parametrize("jitter_mag", [0.01, 1e-9])
+@pytest.mark.parametrize("lattice", ["41x41_block", "29x19_obstacle"])
+def test_banded_jitter_is_bitwise_the_full_field(lattice, jitter_mag):
+    # a warmed bump on a maze-sized lattice: the jitter term is drawn over
+    # a band of lattice rows strictly inside the lattice, and held blocks
+    # are reused; every bit must match the term over all n columns
+    if lattice == "41x41_block":
+        m = build_manifold(41, 41, obstacles=[(14, 14, 26, 26)])
+        start, deltas = (8, 20), [(0.0, 0.0), (0.02, 0.0), (0.02, 0.001),
+                                  (0.0, -0.015), (0.001, 0.0), (-0.01, 0.01)]
+    else:
+        m = build_manifold(29, 19, obstacles=[(12, 4, 15, 12)])
+        start, deltas = (6, 9), [(0.0, 0.0), (0.03, 0.0), (0.03, 0.002),
+                                 (0.0, 0.03), (0.001, 0.0), (-0.02, -0.02)]
+    p = AttractorParams(sigma=0.031, jitter_seed=2, jitter_mag=jitter_mag)
+    field = np.random.default_rng(p.jitter_seed).uniform(-1.0, 1.0, (m.n, m.n))
+    state = init_bump(m, m.index(*start), p)
+    expected = state.A.copy()
+    inside = reused = 0
+    for t in range(60):
+        state.set_delta(deltas[t // 10])
+        held = {id(P) for _, P in state._blocks.values() if P is not None}
+        expected = reference_jitter_step(expected, state, field)
+        step_attractor(state)
+        assert np.array_equal(state.A, expected), t
+        keys = [key for key, _ in state._blocks.values()]
+        inside += all(0 < c0 and c1 < m.n for _, _, c0, c1, _ in keys)
+        reused += any(id(P) in held for _, P in state._blocks.values())
+    assert inside > 0 and reused > 0
+
+
+@pytest.mark.parametrize("nx,ny", [(7, 5), (9, 6), (29, 19), (41, 41), (81, 81)])
+def test_zero_padded_product_is_bitwise_the_full_product(nx, ny):
+    # the identity the banded jitter term rests on: a k x n product whose
+    # rows are zero outside columns c0..c1-1 gives, in those columns, the
+    # bits of the product over the full rows; the zero rows are the first
+    # k of a buffer whose other rows hold earlier bands
+    rng = np.random.default_rng(nx * ny)
+    n = nx * ny
+    buf = np.zeros((nx, n))
+    for k in range(1, nx + 1):
+        ya = int(rng.integers(0, ny))
+        yb = int(rng.integers(ya + 1, ny + 1))
+        c0, c1 = ya * nx, yb * nx
+        a = rng.random(k) * (rng.random(k) < 0.8)
+        U = rng.uniform(-1.0, 1.0, (k, n)) * rng.random(n)
+        buf[:, c0:c1] = rng.random((nx, c1 - c0))
+        Z = buf[:k]
+        Z[:, c0:c1] = U[:, c0:c1]
+        assert np.array_equal((a @ Z)[c0:c1], (a @ U)[c0:c1]), (k, c0, c1)
+        buf[:, c0:c1] = 0.0
+
+
 def test_memory_grows_with_the_axes_not_the_node_count():
     # an 81x81 lattice has 6561 units; one dense n x n float64 table
     # alone would take 344 MB
@@ -181,6 +234,8 @@ def test_params_validation():
         AttractorParams(warmup=-1).validate()
     with pytest.raises(ValueError):
         AttractorParams(jitter_seed=-1).validate()
+    with pytest.raises(ValueError):
+        AttractorParams(jitter_mag=float("nan")).validate()
 
 
 def test_tiny_sigma_is_a_one_node_kernel_without_warnings():
@@ -307,6 +362,8 @@ def test_jitter_is_seeded_and_small():
     state = AttractorState(m, AttractorParams(jitter_seed=5))
     assert np.array_equal(state.jitter_rows(200, 225), field[200:225])
     assert np.array_equal(state.jitter_rows(0, 3), field[:3])
+    assert np.array_equal(state.jitter_rows(200, 225, 30, 90),
+                          field[200:225, 30:90])
 
 
 def test_bump_width_exceeds_footprint():

@@ -4,6 +4,7 @@ import os
 import pytest
 from conftest import scenario_path
 
+from wavenav import config
 from wavenav.cli import main
 
 TINY = {
@@ -179,6 +180,19 @@ def test_sweep_partitions_outputs_per_seed(tmp_path, capsys):
     assert lines[0] == "scenario,seed,outcome,steps"
     assert len(lines) == 4
     assert "reached" in capsys.readouterr().out
+
+
+def test_sweep_builds_the_lattice_once(tmp_path, monkeypatch, capsys):
+    # seeds never change the geometry: every run shares the parsed lattice
+    calls = []
+    build = config.build_manifold
+    monkeypatch.setattr(config, "build_manifold",
+                        lambda *args: calls.append(args) or build(*args))
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", scenario_path("block_heterogeneous"), "--seeds",
+                 "0..2", "--max-steps", "5", "--out", out]) == 2
+    assert len(calls) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "reached 0/3"
 
 
 def test_wave_only_sweep_counts_completed_runs(tmp_path, capsys):

@@ -1,0 +1,54 @@
+"""Golden outputs of `wavenav verify`, byte for byte.
+
+Speed work on the wave and attractor layers keeps every output
+byte-identical. This table pins the sha256 of `trajectory.csv` and the
+report row for the bundled mazes, and for `block` at two more jitter
+seeds, so that any changed bit of a run fails here. A change that means
+to alter outputs updates the table and names each changed artifact.
+"""
+import hashlib
+import os
+
+import pytest
+from conftest import scenario_path
+
+from wavenav.cli import main
+
+GOLDEN = [
+    ("simple", None,
+     "dd074eda1f7e0889ce613f75c486111293a95df1b356500b003f476346af5dd5",
+     "simple,reached,334,43.8406,45.2548,0.9688,8"),
+    ("s_maze", None,
+     "d77bab86c38f90698045311467ee694ab18014bcaf1b90bbb3a45020c7998e66",
+     "s_maze,reached,777,139.9572,93.7401,1.4930,17"),
+    ("block", None,
+     "9cdd9b8859452fdd1ba6165f4c15e4d2ed36cc42f5e2d4394227b4b22f375e38",
+     "block,reached,433,71.3703,45.2548,1.5771,10"),
+    ("complex", None,
+     "4bff6f0d54ace98f271e5aca5b7dcfbe4d6378599e91c632e68f74ba6d7a5dc5",
+     "complex,reached,382,69.4612,49.5980,1.4005,9"),
+    ("block", 0,
+     "37c3c6a5a6decd6079d228ac63cf2145e7b35f416bf41a68c6495be21258e717",
+     "block,reached,526,92.1406,45.2548,2.0360,12"),
+    ("block", 5,
+     "5b0a0619f6435adbd40f8bc9680fe2598ad4191a7f3ece7f090dc3b52e2bb64d",
+     "block,reached,333,59.1023,45.2548,1.3060,8"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,jitter_seed,trajectory_sha256,row", GOLDEN,
+    ids=[name if seed is None else f"{name}-jitter_seed{seed}"
+         for name, seed, _, _ in GOLDEN])
+def test_verify_outputs_are_golden(name, jitter_seed, trajectory_sha256, row,
+                                   tmp_path, capsys):
+    out = str(tmp_path / "out")
+    argv = ["verify", scenario_path(name), "--out", out]
+    if jitter_seed is not None:
+        argv += ["--set", f"attractor.jitter_seed={jitter_seed}"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with open(os.path.join(out, "trajectory.csv"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == trajectory_sha256
+    with open(os.path.join(out, "report.csv"), encoding="utf-8") as fh:
+        assert fh.read().splitlines()[1:] == [row]

@@ -5,7 +5,9 @@ weight profile in normalized coordinates. A direction vector delta
 biases the weights so that each update translates the bump; with
 delta = (0, 0) the bump is a fixed point. The profile factorises per
 axis, so an update is two small matrix products; a seeded jitter adds
-one term over the active units.
+one term over the active units. Factor entries below KERNEL_FLOOR are
+exact zeros, which keeps the products out of gradual underflow and
+leaves every bit of A as it is (see AttractorState.weights).
 
 Activity is renormalized to unit sum after every update. The raw
 update rule has a per-step gain well above 1 at the shipped
@@ -15,12 +17,16 @@ before the required 1000-step stability horizon.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from .manifold import Manifold
+
+# 2^-511: the product of two factor entries at or above it is a normal double
+KERNEL_FLOOR = math.sqrt(sys.float_info.min)
 
 
 class BumpLostError(RuntimeError):
@@ -47,6 +53,9 @@ class AttractorParams:
             raise ValueError("sigma is so small that its square underflows to 0")
         if self.seed_radius <= 0:
             raise ValueError("seed_radius must be positive")
+        if self.seed_radius * self.seed_radius == 0:
+            raise ValueError(
+                "seed_radius is so small that its square underflows to 0")
         if self.warmup < 0:
             raise ValueError("warmup must be >= 0")
         if self.jitter_seed is not None and self.jitter_seed < 0:
@@ -91,13 +100,26 @@ class AttractorState:
             self._g = None
 
     def weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Factors (gx, gy): weight i -> j is J * gx[xi, xj] * gy[yi, yj] - T."""
+        """Factors (gx, gy): weight i -> j is J * gx[xi, xj] * gy[yi, yj] - T.
+
+        Entries below KERNEL_FLOOR are set to exactly 0. Their products
+        would run into the subnormal range, where every operation costs
+        the CPU a microcode assist. Nothing that can survive the clip
+        changes: all terms are >= 0, and with T > 0 a surviving column has
+        G > T * sum(A) / J (about 4e-3 at the defaults), so the dropped
+        terms lie over 100 orders of magnitude below half an ulp of it. A
+        jitter weight J * gx * gy - T keeps its bits too, since
+        |J| * KERNEL_FLOOR is far below half an ulp of T. With T <= 0 no
+        column clips, and A's far tail may lose values below about 1e-150.
+        """
         if self._g is None:
             s2 = self.params.sigma * self.params.sigma
             # an exponent that overflows to -inf is the kernel's exact 0
             with np.errstate(over="ignore"):
                 self._g = tuple(np.exp(-(o + d) ** 2 / s2)
                                 for o, d in zip(self._offsets, self.delta))
+            for g in self._g:
+                g[g < KERNEL_FLOOR] = 0.0
         return self._g
 
     def jitter_rows(self, lo: int, hi: int, c0: int = 0,
@@ -130,7 +152,9 @@ def init_bump(m: Manifold, start: int, p: AttractorParams) -> AttractorState:
     state = AttractorState(m, p)
     sx, sy = m.coords(start)
     d2 = (m.xs - sx) ** 2.0 + (m.ys - sy) ** 2.0
-    A = np.exp(-math.log(2.0) * d2 / (p.seed_radius * p.seed_radius))
+    # an exponent that overflows to -inf is the seed's exact 0
+    with np.errstate(over="ignore"):
+        A = np.exp(-math.log(2.0) * d2 / (p.seed_radius * p.seed_radius))
     A[m.blocked] = 0.0
     state.A = A / A.sum()
     for _ in range(p.warmup):

@@ -4,12 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
-from wavenav.attractor import (AttractorParams, AttractorState, BumpLostError,
-                               attractor_weight, bump_center, bump_footprint,
-                               bump_width, footprint_diameter, init_bump,
-                               step_attractor)
+from wavenav.attractor import (KERNEL_FLOOR, AttractorParams, AttractorState,
+                               BumpLostError, attractor_weight, bump_center,
+                               bump_footprint, bump_width, footprint_diameter,
+                               init_bump, step_attractor)
 from wavenav.manifold import build_manifold
 
 
@@ -103,12 +105,13 @@ def test_step_is_invariant_to_the_scale_of_A():
             np.testing.assert_allclose(other, steps[0], rtol=1e-12, atol=0.0)
 
 
-def reference_jitter_step(A, state, field):
+def reference_jitter_step(A, state, field, g=None):
     """One update of A with the jitter term built from uniform(-1, 1)
     draws and two-gather weight rows, one lattice row of active units
-    at a time; the bits step_attractor must reproduce."""
+    at a time; the bits step_attractor must reproduce. The factors are
+    state.weights() unless given as g."""
     p, m = state.params, state.manifold
-    gx, gy = state.weights()
+    gx, gy = state.weights() if g is None else g
     B = p.J * (gy.T @ A.reshape(m.ny, m.nx) @ gx).ravel() - p.T * A.sum()
     for lo in range(0, m.n, m.nx):
         nz = np.flatnonzero(A[lo:lo + m.nx]) + lo
@@ -181,6 +184,81 @@ def test_banded_jitter_is_bitwise_the_full_field(lattice, jitter_mag):
     assert inside > 0 and reused > 0
 
 
+def uncut_weights(state):
+    """The factors as plain exp values, without KERNEL_FLOOR."""
+    m, p = state.manifold, state.params
+    s2 = p.sigma * p.sigma
+    with np.errstate(over="ignore"):
+        return tuple(np.exp(-((np.arange(k)[:, None] - np.arange(k)) / k + d) ** 2
+                            / s2)
+                     for k, d in ((m.nx, state.delta[0]), (m.ny, state.delta[1])))
+
+
+def reference_step(A, state, g):
+    """step_attractor's operations on factors g."""
+    p, m = state.params, state.manifold
+    gx, gy = g
+    total = A.sum()
+    B = p.J * (gy.T @ A.reshape(m.ny, m.nx) @ gx).ravel() - p.T * total
+    B = np.maximum(B, 0.0)
+    B[m.blocked] = 0.0
+    return B / B.sum()
+
+
+@pytest.mark.parametrize("nx,ny,obstacles,start,jitter", [
+    (41, 41, [(14, 14, 26, 26)], (8, 20), False),
+    (71, 71, [], (6, 6), False),
+    (61, 41, [(28, 0, 32, 28)], (6, 6), False),
+    (41, 41, [(14, 14, 26, 26)], (8, 20), True),
+], ids=["41x41_obstacle", "71x71_open", "61x41_wall", "41x41_jitter"])
+def test_kernel_floor_leaves_every_bit_of_A(nx, ny, obstacles, start, jitter):
+    # warm-up and planner-like changes of delta with the cut factors,
+    # beside the same operations on the uncut ones
+    m = build_manifold(nx, ny, obstacles=obstacles)
+    p = AttractorParams(sigma=0.031, warmup=0, jitter_seed=2 if jitter else None,
+                        jitter_mag=0.01 if jitter else 1e-9)
+    state = init_bump(m, m.index(*start), p)
+    field = (np.random.default_rng(p.jitter_seed).uniform(-1.0, 1.0, (m.n, m.n))
+             if jitter else None)
+    expected = state.A.copy()
+    deltas = [(0.0, 0.0)] * 5 + [(0.02, 0.0), (0.02, 0.02), (0.0, 0.015),
+                                 (-0.01, 0.02), (0.001, 0.0)]
+    cut = 0
+    for t in range(100):
+        state.set_delta(deltas[t // 10])
+        g = uncut_weights(state)
+        cut += sum(int((w != ref).sum()) for w, ref in zip(state.weights(), g))
+        if jitter:
+            expected = reference_jitter_step(expected, state, field, g)
+        else:
+            expected = reference_step(expected, state, g)
+        step_attractor(state)
+        assert np.array_equal(state.A, expected), t
+    assert cut > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(nx=st.integers(3, 60), ny=st.integers(3, 60),
+       sigma=st.floats(1e-3, 2.0) | st.sampled_from([1e-160, 1e-154]),
+       dx=st.floats(-1.0, 1.0), dy=st.floats(-1.0, 1.0), data=st.data())
+def test_kernel_floor_only_zeroes_entries_below_it(nx, ny, sigma, dx, dy, data):
+    # each factor entry is its exp value or, below the floor, exactly 0;
+    # the jitter weights J * gx * gy - T keep their bits either way
+    assert KERNEL_FLOOR == 2.0 ** -511
+    state = AttractorState(build_manifold(nx, ny), AttractorParams(sigma=sigma))
+    state.set_delta((dx, dy))
+    gx, gy = state.weights()
+    ref_x, ref_y = uncut_weights(state)
+    for g, ref in ((gx, ref_x), (gy, ref_y)):
+        assert np.array_equal(g, np.where(ref < KERNEL_FLOOR, 0.0, ref))
+        assert not np.any((g > 0.0) & (g < KERNEL_FLOOR))
+    p = state.params
+    xi = data.draw(st.integers(0, nx - 1))
+    yi = data.draw(st.integers(0, ny - 1))
+    assert np.array_equal((p.J * gx[xi]) * gy[yi, :, None] - p.T,
+                          (p.J * ref_x[xi]) * ref_y[yi, :, None] - p.T)
+
+
 @pytest.mark.parametrize("nx,ny", [(7, 5), (9, 6), (29, 19), (41, 41), (81, 81)])
 def test_zero_padded_product_is_bitwise_the_full_product(nx, ny):
     # the identity the banded jitter term rests on: a k x n product whose
@@ -236,6 +314,8 @@ def test_params_validation():
         AttractorParams(jitter_seed=-1).validate()
     with pytest.raises(ValueError):
         AttractorParams(jitter_mag=float("nan")).validate()
+    with pytest.raises(ValueError):
+        AttractorParams(seed_radius=1e-170).validate()
 
 
 def test_tiny_sigma_is_a_one_node_kernel_without_warnings():

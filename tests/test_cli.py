@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import pytest
 from conftest import scenario_path
@@ -90,6 +91,18 @@ def test_malformed_values_exit_three(tmp_path, capsys):
     with pytest.raises(SystemExit) as done:
         main(["run", "--help"])
     assert done.value.code == 0
+
+
+def test_underflowing_seed_radius_exit_three(tmp_path, capsys):
+    # its square is 0: init_bump would divide by it and lose the bump
+    argv = ["verify", scenario_path("simple"), "--out", str(tmp_path / "o")]
+    assert main(argv + ["--set", "attractor.seed_radius=1e-170"]) == 3
+    assert "seed_radius" in capsys.readouterr().err
+    # a subnormal square seeds a one-node bump, without numpy warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--set", "attractor.seed_radius=1e-160"]) == 0
+    assert "simple,reached" in capsys.readouterr().out
 
 
 def test_numerical_failure_exit_four(tmp_path, capsys):

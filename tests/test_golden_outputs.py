@@ -3,16 +3,28 @@
 Speed work on the wave and attractor layers keeps every output
 byte-identical. This table pins the sha256 of `trajectory.csv` and the
 report row for the bundled mazes, and for `block` at two more jitter
-seeds, so that any changed bit of a run fails here. A change that means
-to alter outputs updates the table and names each changed artifact.
+seeds, so that any changed bit of a run fails here. Two generated
+lattices, written to a temporary config, pin larger grids, where more of
+the attractor factors' tails fall below `attractor.KERNEL_FLOOR`. A
+change that means to alter outputs updates the table and names each
+changed artifact.
 """
 import hashlib
+import json
 import os
 
 import pytest
 from conftest import scenario_path
 
 from wavenav.cli import main
+
+# benchmark/'s open71 settings, and a 61x41 grid with one wall
+GENERATED = {
+    "open71": {"grid": {"nx": 71, "ny": 71}, "obstacles": [],
+               "start": [6, 6], "target": [64, 64]},
+    "wall61x41": {"grid": {"nx": 61, "ny": 41}, "obstacles": [[28, 0, 32, 28]],
+                  "start": [6, 6], "target": [54, 6]},
+}
 
 GOLDEN = [
     ("simple", None,
@@ -33,6 +45,12 @@ GOLDEN = [
     ("block", 5,
      "5b0a0619f6435adbd40f8bc9680fe2598ad4191a7f3ece7f090dc3b52e2bb64d",
      "block,reached,333,59.1023,45.2548,1.3060,8"),
+    ("open71", None,
+     "87c942ed843e96c2c06a8bafea95642cfe3be9b72deb260fb5a5104f98b9b6a7",
+     "open71,reached,338,83.4386,82.0244,1.0172,8"),
+    ("wall61x41", None,
+     "7d11ff4c2417db2df75c176cd90e0568298c1ccb84a566bf8cd8f2cdc7fc4089",
+     "wall61x41,reached,581,113.5181,68.2254,1.6639,13"),
 ]
 
 
@@ -43,7 +61,15 @@ GOLDEN = [
 def test_verify_outputs_are_golden(name, jitter_seed, trajectory_sha256, row,
                                    tmp_path, capsys):
     out = str(tmp_path / "out")
-    argv = ["verify", scenario_path(name), "--out", out]
+    if name in GENERATED:
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(json.dumps(dict(
+            GENERATED[name], mode="homogeneous", max_steps=1500,
+            attractor={"sigma": 0.031}, coupling={"hold": 2})))
+        path = str(cfg)
+    else:
+        path = scenario_path(name)
+    argv = ["verify", path, "--out", out]
     if jitter_seed is not None:
         argv += ["--set", f"attractor.jitter_seed={jitter_seed}"]
     assert main(argv) == 0

@@ -1,8 +1,10 @@
 """Deterministic scenario execution and verification."""
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import threading
 
 from . import io as iomod
 from .config import ConfigError, ScenarioConfig
@@ -27,19 +29,95 @@ def _require_seed(cfg: ScenarioConfig) -> None:
         raise ConfigError("heterogeneous mode requires a seed (use --seed)")
 
 
-def _frame_writer(out_dir: str | None, stride: int, m: Manifold,
-                  outputs: ScenarioOutputs):
-    """write(t, spikes_e, activity) dumping every stride-th step as a PGM
-    frame into out_dir, or None when no frames are due."""
-    if not (out_dir and stride):
-        return None
+# frame files the creator thread may make ahead of the last frame written
+FRAME_LOOKAHEAD = 8
 
-    def write(t, spikes_e, activity):
-        if t % stride == 0:
-            frame = os.path.join(out_dir, f"frame_{t:05d}.pgm")
-            iomod.write_frame(frame, spikes_e, activity, m)
-            outputs.frames.append(frame)
-    return write
+
+def _frame_path(out_dir: str, t: int) -> str:
+    return os.path.join(out_dir, f"frame_{t:05d}.pgm")
+
+
+def _make_out_dir(out_dir: str) -> None:
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(
+            f"cannot use output directory {out_dir!r}: {e.strerror}") from e
+
+
+class _FrameWriter:
+    """write(t, spikes_e, activity) dumping every stride-th step of a
+    steps-long run as a PGM frame into out_dir; a context around the run.
+
+    Making a new directory entry costs far more than filling one, so the
+    first frame starts one daemon thread that creates the coming frames'
+    files empty, at most FRAME_LOOKAHEAD ahead of the last frame written,
+    and skips names that exist. Each frame is still written whole by
+    io.write_frame on the calling thread, so it is complete when write
+    returns. On exit, normal or raising, the thread is joined and every
+    file it created that no frame filled is removed: the run leaves the
+    same files, with the same bytes, as if it wrote them all itself.
+    """
+
+    def __init__(self, out_dir: str, stride: int, steps: int, m: Manifold,
+                 outputs: ScenarioOutputs):
+        self.out_dir, self.stride, self.steps = out_dir, stride, steps
+        self.m, self.outputs = m, outputs
+        self._room = threading.Semaphore(FRAME_LOOKAHEAD)
+        self._stop = False
+        self._created: list[str] = []
+        self._thread: threading.Thread | None = None
+
+    def __call__(self, t, spikes_e, activity):
+        if t % self.stride:
+            return
+        if self._thread is None:
+            _make_out_dir(self.out_dir)
+            thread = threading.Thread(
+                target=self._create, name="wavenav-frame-creator", daemon=True)
+            thread.start()
+            self._thread = thread
+        frame = _frame_path(self.out_dir, t)
+        iomod.write_frame(frame, spikes_e, activity, self.m)
+        self.outputs.frames.append(frame)
+        self._room.release()
+
+    def _create(self) -> None:
+        for t in range(0, self.steps, self.stride):
+            self._room.acquire()
+            if self._stop:
+                return
+            path = _frame_path(self.out_dir, t)
+            try:
+                os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                                 0o666))
+            except FileExistsError:
+                continue
+            except OSError:
+                return  # the writer's own open reports what is wrong
+            self._created.append(path)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._thread is None:
+            return
+        self._stop = True
+        self._room.release()
+        self._thread.join()
+        filled = set(self.outputs.frames)
+        for path in self._created:
+            if path not in filled:
+                os.unlink(path)
+
+
+def _frame_writer(out_dir: str | None, stride: int, steps: int, m: Manifold,
+                  outputs: ScenarioOutputs):
+    """A _FrameWriter context, or one that yields None when no frames are due."""
+    if not (out_dir and stride):
+        return contextlib.nullcontext()
+    return _FrameWriter(out_dir, stride, steps, m, outputs)
 
 
 def run_wave_only(cfg: ScenarioConfig, m: Manifold, write_frame=None):
@@ -70,21 +148,22 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None):
     if out_dir is None and cfg.frame_stride:
         out_dir = cfg.out_dir
     outputs = ScenarioOutputs()
-    write = _frame_writer(out_dir, cfg.frame_stride, m, outputs)
-
-    if cfg.start is None:
-        result = run_wave_only(cfg, m, write)
-    else:
-        observer = None if write is None else (
-            lambda t, wave, bump, spikes_e: write(t, spikes_e, bump.A))
-        result = run_planner(
-            m, m.index(*cfg.start), m.index(*cfg.targets[0]),
-            synapse_cfg=cfg.synapse, attractor_params=cfg.attractor,
-            coupling=cfg.coupling, mode=cfg.mode, seed=cfg.seed,
-            observer=observer)
+    with _frame_writer(out_dir, cfg.frame_stride, cfg.max_steps, m,
+                       outputs) as write:
+        if cfg.start is None:
+            result = run_wave_only(cfg, m, write)
+        else:
+            observer = None if write is None else (
+                lambda t, wave, bump, spikes_e: write(t, spikes_e, bump.A))
+            result = run_planner(
+                m, m.index(*cfg.start), m.index(*cfg.targets[0]),
+                synapse_cfg=cfg.synapse, attractor_params=cfg.attractor,
+                coupling=cfg.coupling, mode=cfg.mode, seed=cfg.seed,
+                observer=observer)
     if out_dir:
         text = (iomod.format_wave_log(result) if cfg.start is None
                 else iomod.format_trajectory(result, m))
+        _make_out_dir(out_dir)
         outputs.trajectory_csv = os.path.join(out_dir, "trajectory.csv")
         iomod.write_text(outputs.trajectory_csv, text)
     return result, outputs

@@ -135,6 +135,24 @@ def test_sweep_with_every_bump_lost_exits_four(tmp_path, capsys):
             "bump_lost", "bump_lost"]
 
 
+def test_out_that_cannot_be_a_directory_exit_three(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"not a directory")
+    # an existing regular file, at the first frame of a render
+    assert main(["render", scenario_path("two_sources"), "--out",
+                 str(blocker), "--max-steps", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "File exists" in err
+    # a path below a regular file, when the trajectory is written
+    assert main(["verify", scenario_path("simple"), "--out",
+                 str(blocker / "x"), "--max-steps", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "Not a directory" in err
+    assert blocker.read_bytes() == b"not a directory"
+
+
 def test_heterogeneous_requires_seed(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "het", mode="heterogeneous")
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3

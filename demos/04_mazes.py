@@ -9,7 +9,7 @@ the reference length. The shipped regimes stay within 1.6x of it.
 import os
 
 from wavenav import load_config, verify_scenario
-from wavenav.io import REPORT_HEADER
+from wavenav.io import REPORT_HEADER, report_row
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir,
                          "src", "wavenav", "scenarios")
@@ -17,9 +17,9 @@ SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir,
 print(REPORT_HEADER)
 for name in ("s_maze", "block", "complex"):
     cfg = load_config(os.path.join(SCENARIOS, name + ".cfg"))
-    result, row = verify_scenario(
+    result, record = verify_scenario(
         cfg, out_dir=os.path.join("demo_out", "mazes", name))
-    print(row)
+    print(report_row(record))
 
 # the block maze is perfectly symmetric: without the tiny seeded
 # weight jitter the two wave fronts rounding the block would hit the

@@ -11,11 +11,11 @@ Any config key can be overridden with --set section.key=value
 shortcuts for the corresponding keys.
 
 Exit codes: 0 success or target reached, 2 step budget exhausted,
-3 configuration or usage error, 4 numerical failure (bump lost, a
-warm-up that leaves no single bump, or non-finite neuron state).
-A sweep exits 0 if any of its runs succeeds; otherwise it exits with
-the highest code among its runs' outcomes (4 if any run lost the
-bump, else 2).
+3 configuration or usage error (also an output path that cannot be
+written), 4 numerical failure (bump lost, a warm-up that leaves no
+single bump, or non-finite neuron state). A sweep exits 0 if any of
+its runs succeeds; otherwise it exits with the highest code among its
+runs' outcomes (4 if any run lost the bump, else 2).
 """
 from __future__ import annotations
 
@@ -25,9 +25,9 @@ import os
 import statistics
 import sys
 
+from . import io as iomod
 from .config import ConfigError, apply_overrides, parse_config, scenario_name
-from .io import REPORT_HEADER
-from .planner import BUMP_LOST, EXHAUSTED, REACHED, PlanResult
+from .planner import BUMP_LOST, EXHAUSTED, REACHED
 from .runner import WAVE_COMPLETED, run_scenario, verify_scenario
 from .wave import NumericalError
 
@@ -91,42 +91,34 @@ def _load(args) -> "ScenarioConfig":
     return cfg
 
 
-def _outcome_of(result) -> str:
-    return result.outcome if isinstance(result, PlanResult) else WAVE_COMPLETED
-
-
 def _cmd_run(args) -> int:
     cfg = _load(args)
-    result, outputs = run_scenario(cfg, out_dir=cfg.out_dir)
-    outcome = _outcome_of(result)
-    print(f"{cfg.name}: {outcome}")
-    if outputs.trajectory_csv:
-        print(f"trajectory: {outputs.trajectory_csv}")
-    return EXIT_CODES[outcome]
+    _, record = run_scenario(cfg, out_dir=cfg.out_dir)
+    print(f"{record.name}: {record.outcome}")
+    if record.trajectory_csv:
+        print(f"trajectory: {record.trajectory_csv}")
+    return EXIT_CODES[record.outcome]
 
 
 def _cmd_render(args) -> int:
     cfg = _load(args)
     cfg.frame_stride = cfg.frame_stride or 10
-    result, outputs = run_scenario(cfg, out_dir=cfg.out_dir)
-    outcome = _outcome_of(result)
-    print(f"{cfg.name}: {outcome}, {len(outputs.frames)} frames")
-    return EXIT_CODES[outcome]
+    _, record = run_scenario(cfg, out_dir=cfg.out_dir)
+    print(f"{record.name}: {record.outcome}, {len(record.frames)} frames")
+    return EXIT_CODES[record.outcome]
 
 
 def _cmd_verify(args) -> int:
     cfg = _load(args)
-    result, row = verify_scenario(cfg, out_dir=cfg.out_dir)
+    _, record = verify_scenario(cfg, out_dir=cfg.out_dir)
+    row = iomod.report_row(record)
     report = args.report or os.path.join(cfg.out_dir, "report.csv")
-    os.makedirs(os.path.dirname(report) or ".", exist_ok=True)
-    fresh = not os.path.exists(report)
-    with open(report, "a", encoding="utf-8", newline="\n") as fh:
-        if fresh:
-            fh.write(REPORT_HEADER + "\n")
-        fh.write(row + "\n")
-    print(REPORT_HEADER)
+    header = "" if os.path.exists(report) else iomod.REPORT_HEADER + "\n"
+    with iomod.open_output(report, "ab") as fh:
+        fh.write((header + row + "\n").encode("utf-8"))
+    print(iomod.REPORT_HEADER)
     print(row)
-    return EXIT_CODES[result.outcome]
+    return EXIT_CODES[record.outcome]
 
 
 def _parse_seed_range(spec: str) -> range:
@@ -148,26 +140,20 @@ def _cmd_sweep(args) -> int:
     out_root = base.out_dir
     # a wave-only config (no start) succeeds by completing its steps
     success = WAVE_COMPLETED if base.start is None else REACHED
-    rows = []
+    rows = ["scenario,seed,outcome,steps"]
     done_steps = []
     exit_code = EXIT_OK
     for seed in seeds:
         cfg = dataclasses.replace(base, seed=seed)
-        result, _ = run_scenario(cfg, out_dir=os.path.join(out_root, f"seed_{seed}"))
-        outcome = _outcome_of(result)
-        steps = len(result.trajectory) if isinstance(result, PlanResult) else cfg.max_steps
-        rows.append(f"{cfg.name},{seed},{outcome},{steps}")
-        if outcome == success:
-            done_steps.append(steps)
-        exit_code = max(exit_code, EXIT_CODES[outcome])
-        print(f"seed {seed}: {outcome} ({steps} steps)")
-    summary = os.path.join(out_root, "sweep.csv")
-    os.makedirs(out_root, exist_ok=True)
-    with open(summary, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("scenario,seed,outcome,steps\n")
-        for row in rows:
-            fh.write(row + "\n")
-    print(f"{success} {len(done_steps)}/{len(rows)}"
+        _, record = run_scenario(cfg, out_dir=os.path.join(out_root, f"seed_{seed}"))
+        rows.append(f"{record.name},{seed},{record.outcome},{record.steps}")
+        if record.outcome == success:
+            done_steps.append(record.steps)
+        exit_code = max(exit_code, EXIT_CODES[record.outcome])
+        print(f"seed {seed}: {record.outcome} ({record.steps} steps)")
+    with iomod.open_output(os.path.join(out_root, "sweep.csv"), "wb") as fh:
+        fh.write("".join(row + "\n" for row in rows).encode("utf-8"))
+    print(f"{success} {len(done_steps)}/{len(seeds)}"
           + (f", median steps {statistics.median(done_steps):g}"
              if done_steps else ""))
     return EXIT_OK if done_steps else exit_code

@@ -56,9 +56,6 @@ _TOP_KEYS = {"grid", "obstacles", "start", "target", "mode", "seed",
 
 @dataclass
 class ScenarioConfig:
-    nx: int
-    ny: int
-    obstacles: list
     start: tuple[int, int] | None
     targets: list
     mode: str
@@ -69,8 +66,9 @@ class ScenarioConfig:
     frame_stride: int
     out_dir: str
     name: str
-    # the lattice, built once at parse time: nothing changes the geometry
-    # after parsing, and copies made with dataclasses.replace share it
+    # the lattice, built once at parse time and the one record of the grid
+    # size and obstacles: nothing changes the geometry after parsing, and
+    # copies made with dataclasses.replace share it
     manifold: Manifold = field(repr=False, compare=False)
 
     @property
@@ -227,10 +225,9 @@ def parse_config(text: str, name: str = "scenario") -> ScenarioConfig:
     except ValueError as e:
         raise ConfigError(f"obstacles: {e}") from e
     cfg = ScenarioConfig(
-        nx=nx, ny=ny, obstacles=rects, start=start, targets=targets,
-        mode=mode, seed=seed, synapse=synapse, attractor=attractor,
-        coupling=coupling, frame_stride=frame_stride, out_dir=out_dir,
-        name=name, manifold=m)
+        start=start, targets=targets, mode=mode, seed=seed, synapse=synapse,
+        attractor=attractor, coupling=coupling, frame_stride=frame_stride,
+        out_dir=out_dir, name=name, manifold=m)
     _validate_geometry(cfg)
     return cfg
 
@@ -254,13 +251,13 @@ def _validate_geometry(cfg: ScenarioConfig) -> None:
     m = cfg.manifold
     for i, (tx, ty) in enumerate(cfg.targets):
         where = "target" if len(cfg.targets) == 1 else f"target[{i}]"
-        if not (0 <= tx < cfg.nx and 0 <= ty < cfg.ny):
+        if not (0 <= tx < m.nx and 0 <= ty < m.ny):
             raise ConfigError(f"{where} is outside the grid")
         if m.is_blocked(m.index(tx, ty)):
             raise ConfigError(f"{where} lies inside an obstacle")
     if cfg.start is not None:
         sx, sy = cfg.start
-        if not (0 <= sx < cfg.nx and 0 <= sy < cfg.ny):
+        if not (0 <= sx < m.nx and 0 <= sy < m.ny):
             raise ConfigError("start is outside the grid")
         if m.is_blocked(m.index(sx, sy)):
             raise ConfigError("start lies inside an obstacle")

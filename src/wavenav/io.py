@@ -1,7 +1,8 @@
 """Artifact emission: trajectory CSV logs, PGM frames, report rows.
 
 All output is byte-deterministic for a given run: fixed headers,
-explicit float formatting, no locale involvement.
+explicit float formatting, no locale involvement. Footers and report
+rows read a run's record, a runner.ScenarioOutputs.
 """
 from __future__ import annotations
 
@@ -9,8 +10,9 @@ import os
 
 import numpy as np
 
+from .config import ConfigError
 from .manifold import Manifold
-from .planner import PlanResult, path_length
+from .planner import StepRecord
 
 CSV_HEADER = "t,bump_x,bump_y,delta_x,delta_y,overlap_size,exc_spikes,wavefront_hit"
 REPORT_HEADER = "scenario,outcome,steps,path_length,bfs_length,ratio,wavefronts"
@@ -20,35 +22,53 @@ def _fmt(x: float) -> str:
     return format(x, ".9g")
 
 
-def format_trajectory(result: PlanResult, m: Manifold) -> str:
-    """Trajectory CSV: one StepRecord per line plus an outcome footer."""
+def format_trajectory(trajectory: list[StepRecord], m: Manifold,
+                      record) -> str:
+    """Trajectory CSV: one StepRecord per line plus the record's footer."""
     lines = [CSV_HEADER]
-    for rec in result.trajectory:
+    for rec in trajectory:
         x, y = m.coords(rec.bump_center)
         lines.append(",".join((
             str(rec.t), str(x), str(y),
             _fmt(rec.delta[0]), _fmt(rec.delta[1]),
             str(rec.overlap_size), str(rec.excitatory_spike_count),
             str(int(rec.wavefront_hit)))))
-    lines.append(f"# outcome={result.outcome} steps={len(result.trajectory)}"
-                 f" wavefronts={result.wavefronts_used}"
-                 f" path_length={_fmt(path_length(result) if result.path else 0.0)}")
+    lines.append(f"# outcome={record.outcome} steps={record.steps}"
+                 f" wavefronts={record.wavefronts}"
+                 f" path_length={_fmt(record.path_length or 0.0)}")
     return "\n".join(lines) + "\n"
 
 
-def format_wave_log(spike_counts: list[int]) -> str:
+def format_wave_log(spike_counts: list[int], record) -> str:
     """Wave-only CSV: same schema, bump columns left empty."""
     lines = [CSV_HEADER]
     for t, count in enumerate(spike_counts):
         lines.append(f"{t},,,,,,{count},0")
-    lines.append(f"# outcome=completed steps={len(spike_counts)}")
+    lines.append(f"# outcome={record.outcome} steps={record.steps}")
     return "\n".join(lines) + "\n"
 
 
+def open_output(path: str, mode: str):
+    """Open output file `path` in binary `mode`; the one guard on outputs.
+
+    Its directory is made only when the open finds it missing: once per
+    run, at its first file. An OSError of either is a ConfigError (exit 3).
+    """
+    try:
+        try:
+            return open(path, mode)
+        except (FileNotFoundError, NotADirectoryError):
+            # makes a missing directory; where a file is in the way,
+            # makedirs fails naming that file
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            return open(path, mode)
+    except OSError as e:
+        raise ConfigError(f"cannot write {e.filename!r}: {e.strerror}") from e
+
+
 def write_text(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    with open_output(path, "wb") as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def pgm_bytes(spikes_e: np.ndarray | None, activity: np.ndarray | None,
@@ -70,18 +90,15 @@ def pgm_bytes(spikes_e: np.ndarray | None, activity: np.ndarray | None,
 
 
 def write_frame(path: str, spikes_e, activity, m: Manifold) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         fh.write(pgm_bytes(spikes_e, activity, m))
 
 
-def report_row(scenario: str, result: PlanResult, bfs_length: float | None) -> str:
-    """One verification row: planner outcome vs the BFS oracle."""
-    steps = str(len(result.trajectory))
-    if result.path and bfs_length:
-        plen = path_length(result)
-        return ",".join((scenario, result.outcome, steps, f"{plen:.4f}",
-                         f"{bfs_length:.4f}", f"{plen / bfs_length:.4f}",
-                         str(result.wavefronts_used)))
-    return ",".join((scenario, result.outcome, steps, "", "", "",
-                     str(result.wavefronts_used)))
+def report_row(record) -> str:
+    """One verification row: a run's record against the BFS oracle."""
+    plen, optimum = record.path_length, record.optimum
+    versus = ("", "", "")
+    if plen is not None and optimum:
+        versus = (f"{plen:.4f}", f"{optimum:.4f}", f"{plen / optimum:.4f}")
+    return ",".join((record.name, record.outcome, str(record.steps), *versus,
+                     str(record.wavefronts)))

@@ -1,27 +1,35 @@
 """Deterministic scenario execution and verification."""
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import threading
+from dataclasses import dataclass, field
 
 from . import io as iomod
 from .config import ConfigError, ScenarioConfig
 from .manifold import Manifold
 from .oracle import build_graph, geometric_length, shortest_path
-from .planner import run_planner
+from .planner import path_length, run_planner
 from .wave import build_synapses, init_neurons, set_stimulus, step_wave
 
 WAVE_COMPLETED = "completed"
 
 
+@dataclass
 class ScenarioOutputs:
-    """Paths of the artifacts a scenario run produced."""
-
-    def __init__(self):
-        self.trajectory_csv: str | None = None
-        self.frames: list[str] = []
+    """The record of one run, which every output line reads: the
+    trajectory footer, the report row, the sweep row and stdout. A
+    wave-only run's outcome is WAVE_COMPLETED, with no fronts or path.
+    """
+    name: str
+    outcome: str
+    steps: int
+    wavefronts: int
+    path_length: float | None = None  # None without a path
+    optimum: float | None = None  # the oracle's length, set by verify
+    trajectory_csv: str | None = None
+    frames: list[str] = field(default_factory=list)
 
 
 def _require_seed(cfg: ScenarioConfig) -> None:
@@ -37,32 +45,26 @@ def _frame_path(out_dir: str, t: int) -> str:
     return os.path.join(out_dir, f"frame_{t:05d}.pgm")
 
 
-def _make_out_dir(out_dir: str) -> None:
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as e:
-        raise ConfigError(
-            f"cannot use output directory {out_dir!r}: {e.strerror}") from e
-
-
 class _FrameWriter:
     """write(t, spikes_e, activity) dumping every stride-th step of a
-    steps-long run as a PGM frame into out_dir; a context around the run.
+    steps-long run as a PGM frame into out_dir; a context around the run
+    that yields None when no frames are due.
 
     Making a new directory entry costs far more than filling one, so the
     first frame starts one daemon thread that creates the coming frames'
     files empty, at most FRAME_LOOKAHEAD ahead of the last frame written,
     and skips names that exist. Each frame is still written whole by
     io.write_frame on the calling thread, so it is complete when write
-    returns. On exit, normal or raising, the thread is joined and every
-    file it created that no frame filled is removed: the run leaves the
-    same files, with the same bytes, as if it wrote them all itself.
+    returns; the first one makes out_dir. On exit, normal or raising,
+    the thread is joined and every file it created that no frame filled
+    is removed: the run leaves the same files, with the same bytes, as
+    if it wrote them all itself.
     """
 
-    def __init__(self, out_dir: str, stride: int, steps: int, m: Manifold,
-                 outputs: ScenarioOutputs):
+    def __init__(self, out_dir: str | None, stride: int, steps: int,
+                 m: Manifold, frames: list[str]):
         self.out_dir, self.stride, self.steps = out_dir, stride, steps
-        self.m, self.outputs = m, outputs
+        self.m, self.frames = m, frames
         self._room = threading.Semaphore(FRAME_LOOKAHEAD)
         self._stop = False
         self._created: list[str] = []
@@ -71,15 +73,14 @@ class _FrameWriter:
     def __call__(self, t, spikes_e, activity):
         if t % self.stride:
             return
+        frame = _frame_path(self.out_dir, t)
+        iomod.write_frame(frame, spikes_e, activity, self.m)
+        self.frames.append(frame)
         if self._thread is None:
-            _make_out_dir(self.out_dir)
             thread = threading.Thread(
                 target=self._create, name="wavenav-frame-creator", daemon=True)
             thread.start()
             self._thread = thread
-        frame = _frame_path(self.out_dir, t)
-        iomod.write_frame(frame, spikes_e, activity, self.m)
-        self.outputs.frames.append(frame)
         self._room.release()
 
     def _create(self) -> None:
@@ -98,7 +99,7 @@ class _FrameWriter:
             self._created.append(path)
 
     def __enter__(self):
-        return self
+        return self if self.out_dir and self.stride else None
 
     def __exit__(self, *exc_info):
         if self._thread is None:
@@ -106,18 +107,10 @@ class _FrameWriter:
         self._stop = True
         self._room.release()
         self._thread.join()
-        filled = set(self.outputs.frames)
+        filled = set(self.frames)
         for path in self._created:
             if path not in filled:
                 os.unlink(path)
-
-
-def _frame_writer(out_dir: str | None, stride: int, steps: int, m: Manifold,
-                  outputs: ScenarioOutputs):
-    """A _FrameWriter context, or one that yields None when no frames are due."""
-    if not (out_dir and stride):
-        return contextlib.nullcontext()
-    return _FrameWriter(out_dir, stride, steps, m, outputs)
 
 
 def run_wave_only(cfg: ScenarioConfig, m: Manifold, write_frame=None):
@@ -136,7 +129,7 @@ def run_wave_only(cfg: ScenarioConfig, m: Manifold, write_frame=None):
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None):
-    """Execute a scenario; returns (PlanResult | spike counts, outputs).
+    """Execute a scenario; returns (PlanResult | spike counts, record).
 
     Scenarios with a start node run the coupled planner; scenarios with
     "start": null run the wave layer only. A frame is written every
@@ -147,11 +140,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None):
     m = cfg.manifold
     if out_dir is None and cfg.frame_stride:
         out_dir = cfg.out_dir
-    outputs = ScenarioOutputs()
-    with _frame_writer(out_dir, cfg.frame_stride, cfg.max_steps, m,
-                       outputs) as write:
+    frames: list[str] = []
+    with _FrameWriter(out_dir, cfg.frame_stride, cfg.max_steps, m,
+                      frames) as write:
         if cfg.start is None:
             result = run_wave_only(cfg, m, write)
+            record = ScenarioOutputs(cfg.name, WAVE_COMPLETED, len(result), 0,
+                                     frames=frames)
         else:
             observer = None if write is None else (
                 lambda t, wave, bump, spikes_e: write(t, spikes_e, bump.A))
@@ -160,27 +155,30 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None):
                 synapse_cfg=cfg.synapse, attractor_params=cfg.attractor,
                 coupling=cfg.coupling, mode=cfg.mode, seed=cfg.seed,
                 observer=observer)
+            record = ScenarioOutputs(
+                cfg.name, result.outcome, len(result.trajectory),
+                result.wavefronts_used,
+                path_length(result) if result.path else None, frames=frames)
     if out_dir:
-        text = (iomod.format_wave_log(result) if cfg.start is None
-                else iomod.format_trajectory(result, m))
-        _make_out_dir(out_dir)
-        outputs.trajectory_csv = os.path.join(out_dir, "trajectory.csv")
-        iomod.write_text(outputs.trajectory_csv, text)
-    return result, outputs
+        text = (iomod.format_wave_log(result, record) if cfg.start is None
+                else iomod.format_trajectory(result.trajectory, m, record))
+        record.trajectory_csv = os.path.join(out_dir, "trajectory.csv")
+        iomod.write_text(record.trajectory_csv, text)
+    return result, record
 
 
 def verify_scenario(cfg: ScenarioConfig, out_dir: str | None = None):
     """Run a traversal scenario and compare against the BFS oracle.
 
-    Returns (result, report_row). The oracle uses 8-connectivity with
-    diagonal hops counted as sqrt(2), matching the planner's geometry.
+    Returns (result, record) with the oracle's route length as the
+    record's optimum. The oracle uses 8-connectivity with diagonal hops
+    counted as sqrt(2), matching the planner's geometry.
     """
     if cfg.start is None:
         raise ConfigError("verify requires a scenario with a start node")
-    result, _ = run_scenario(cfg, out_dir=out_dir)
+    result, record = run_scenario(cfg, out_dir=out_dir)
     m = cfg.manifold
     graph = build_graph(m, radius=math.sqrt(2.0))
     path = shortest_path(graph, m.index(*cfg.start), m.index(*cfg.targets[0]))
-    bfs_len = geometric_length(path, m) if path else None
-    row = iomod.report_row(cfg.name, result, bfs_len)
-    return result, row
+    record.optimum = geometric_length(path, m) if path else None
+    return result, record

@@ -3,6 +3,7 @@ import os
 import pytest
 
 from wavenav.config import load_config
+from wavenav.io import report_row
 from wavenav.runner import verify_scenario
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -26,13 +27,13 @@ def maze_results():
     out = {}
     for name in ("s_maze", "block", "complex"):
         cfg = load_scenario(name)
-        result, row = verify_scenario(cfg)
-        out[name] = (cfg, result, row)
+        result, record = verify_scenario(cfg)
+        out[name] = (cfg, result, report_row(record))
     return out
 
 
 @pytest.fixture(scope="session")
 def simple_result():
     cfg = load_scenario("simple")
-    result, row = verify_scenario(cfg)
-    return cfg, result, row
+    result, record = verify_scenario(cfg)
+    return cfg, result, report_row(record)

@@ -150,7 +150,27 @@ def test_out_that_cannot_be_a_directory_exit_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert "Not a directory" in err
+    # a --report below a regular file, or naming a directory; a run's
+    # trajectory.csv or a sweep's sweep.csv that is a directory
+    taken = tmp_path / "taken"
+    for name in ("trajectory.csv", "sweep.csv"):
+        (taken / name).mkdir(parents=True)
+    verify = ["verify", scenario_path("simple"), "--out",
+              str(tmp_path / "v"), "--max-steps", "5", "--report"]
+    for argv, why in (
+            (verify + [str(blocker / "r.csv")], "File exists"),
+            (verify + [str(taken)], "Is a directory"),
+            (["run", scenario_path("simple"), "--out", str(taken),
+              "--max-steps", "5"], "Is a directory"),
+            (["sweep", scenario_path("two_sources"), "--seeds", "0..1",
+              "--max-steps", "5", "--out", str(taken)], "Is a directory")):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert why in err, argv
     assert blocker.read_bytes() == b"not a directory"
+    for name in ("trajectory.csv", "sweep.csv"):
+        assert not any((taken / name).iterdir())
 
 
 def test_heterogeneous_requires_seed(tmp_path, capsys):

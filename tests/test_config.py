@@ -17,7 +17,7 @@ MINIMAL = '{"grid": {"nx": 41, "ny": 41}, "start": [4, 4], "target": [36, 36]}'
 
 def test_minimal_config_gets_all_defaults():
     cfg = parse_config(MINIMAL)
-    assert (cfg.nx, cfg.ny) == (41, 41)
+    assert (cfg.manifold.nx, cfg.manifold.ny) == (41, 41)
     assert cfg.start == (4, 4) and cfg.targets == [(36, 36)]
     assert cfg.mode == "homogeneous" and cfg.seed is None
     assert cfg.max_steps == 1000
@@ -156,7 +156,7 @@ def test_oversized_scenarios_are_config_errors(extra):
         parse_config(json.dumps(raw))
     raw["grid"] = {"nx": 201, "ny": 201}
     raw["synapse"] = {"d_e": 8.0}
-    assert parse_config(json.dumps(raw)).nx == 201
+    assert parse_config(json.dumps(raw)).manifold.nx == 201
 
 
 def test_max_steps_reaches_the_coupling_budget():

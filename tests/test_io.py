@@ -4,6 +4,7 @@ from wavenav.io import (CSV_HEADER, REPORT_HEADER, format_trajectory,
                         format_wave_log, pgm_bytes, report_row)
 from wavenav.manifold import build_manifold
 from wavenav.planner import PlanResult, StepRecord
+from wavenav.runner import ScenarioOutputs
 
 
 def small_result(m):
@@ -19,6 +20,10 @@ def small_result(m):
                       path=[(5, 5), (6, 5)], wavefronts_used=1)
 
 
+def small_record(**extra):
+    return ScenarioOutputs("demo", "reached", 2, 1, path_length=1.0, **extra)
+
+
 def test_csv_schema():
     assert CSV_HEADER == ("t,bump_x,bump_y,delta_x,delta_y,"
                           "overlap_size,exc_spikes,wavefront_hit")
@@ -28,7 +33,7 @@ def test_csv_schema():
 
 def test_format_trajectory():
     m = build_manifold(41, 41)
-    text = format_trajectory(small_result(m), m)
+    text = format_trajectory(small_result(m).trajectory, m, small_record())
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER
     assert lines[1] == "0,5,5,0,0,0,1,0"
@@ -39,12 +44,13 @@ def test_format_trajectory():
 
 def test_format_trajectory_is_deterministic():
     m = build_manifold(41, 41)
-    r = small_result(m)
-    assert format_trajectory(r, m).encode() == format_trajectory(r, m).encode()
+    r, record = small_result(m).trajectory, small_record()
+    assert (format_trajectory(r, m, record).encode()
+            == format_trajectory(r, m, record).encode())
 
 
 def test_format_wave_log():
-    text = format_wave_log([0, 1, 9])
+    text = format_wave_log([0, 1, 9], ScenarioOutputs("demo", "completed", 3, 0))
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER
     assert lines[1] == "0,,,,,,0,0"
@@ -79,9 +85,7 @@ def test_pgm_encodes_spikes_blocked_and_activity():
 
 
 def test_report_row_with_and_without_oracle():
-    m = build_manifold(41, 41)
-    r = small_result(m)
-    row = report_row("demo", r, 2.0)
+    row = report_row(small_record(optimum=2.0))
     assert row == "demo,reached,2,1.0000,2.0000,0.5000,1"
-    row = report_row("demo", PlanResult(outcome="bump_lost"), None)
+    row = report_row(ScenarioOutputs("demo", "bump_lost", 0, 0))
     assert row == "demo,bump_lost,0,,,,0"

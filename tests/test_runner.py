@@ -53,12 +53,12 @@ def assert_complete(out, names):
 
 def test_early_arrival_leaves_exactly_the_written_frames(tmp_path):
     out = str(tmp_path / "out")
-    result, outputs = run_scenario(tiny(), out_dir=out)
+    result, record = run_scenario(tiny(), out_dir=out)
     steps = len(result.trajectory)
     assert result.outcome == "reached"
     assert steps < TINY["max_steps"] - 10 * FRAME_LOOKAHEAD
     assert listed_frames(out) == frame_names(steps)
-    assert [os.path.basename(f) for f in outputs.frames] == frame_names(steps)
+    assert [os.path.basename(f) for f in record.frames] == frame_names(steps)
     assert_complete(out, frame_names(steps))
 
 

@@ -21,7 +21,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .manifold import Manifold
 
@@ -159,12 +158,37 @@ def init_bump(m: Manifold, start: int, p: AttractorParams) -> AttractorState:
     state.A = A / A.sum()
     for _ in range(p.warmup):
         step_attractor(state)
-    fp = bump_footprint(state).reshape(m.ny, m.nx)
-    _, count = ndimage.label(fp, structure=np.ones((3, 3), dtype=int))
+    count = count_components(bump_footprint(state).reshape(m.ny, m.nx))
     if count != 1:
         raise BumpLostError(
             f"bump warm-up did not converge to a single component (got {count})")
     return state
+
+
+def count_components(mask: np.ndarray) -> int:
+    """Number of 8-connected components of a 2-D boolean mask.
+
+    A flood fill over the mask's nodes only, numbered row-major in rows
+    one wider than the mask: that gap column keeps a row's last node
+    from touching the next row's first. A footprint holds tens to a few
+    hundred nodes, so a count costs well under a millisecond.
+    """
+    w = mask.shape[1] + 1
+    ys, xs = np.nonzero(mask)
+    left = set((ys * w + xs).tolist())
+    steps = (-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1)
+    count = 0
+    while left:
+        count += 1
+        stack = [left.pop()]
+        while stack:
+            k = stack.pop()
+            for s in steps:
+                j = k + s
+                if j in left:
+                    left.remove(j)
+                    stack.append(j)
+    return count
 
 
 def step_attractor(state: AttractorState) -> AttractorState:

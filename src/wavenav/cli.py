@@ -113,8 +113,11 @@ def _cmd_verify(args) -> int:
     _, record = verify_scenario(cfg, out_dir=cfg.out_dir)
     row = iomod.report_row(record)
     report = args.report or os.path.join(cfg.out_dir, "report.csv")
-    header = "" if os.path.exists(report) else iomod.REPORT_HEADER + "\n"
     with iomod.open_output(report, "ab") as fh:
+        # an empty report file, new or not, gets the header first; a pipe
+        # cannot tell its position and gets the row alone
+        empty = fh.seekable() and fh.tell() == 0
+        header = iomod.REPORT_HEADER + "\n" if empty else ""
         fh.write((header + row + "\n").encode("utf-8"))
     print(iomod.REPORT_HEADER)
     print(row)

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .manifold import Manifold, lattice_pairs
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 FIFO = "FIFO"
 LIFO = "LIFO"
@@ -23,6 +26,9 @@ LIFO = "LIFO"
 def build_graph(m: Manifold, radius: float = 1.0) -> sp.csr_matrix:
     """Lattice graph with edges up to `radius` (1 -> 4-conn, sqrt(2) -> 8-conn):
     a symmetric boolean CSR adjacency matrix with sorted rows."""
+    # imported here, so that importing wavenav loads numpy alone
+    import scipy.sparse as sp
+
     # empty seeds keep a radius below one step (no pairs) well-defined
     pres, posts = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
     for pre, post, _ in lattice_pairs(m, radius, "euclid"):

@@ -4,14 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
 from wavenav.attractor import (KERNEL_FLOOR, AttractorParams, AttractorState,
                                BumpLostError, attractor_weight, bump_center,
-                               bump_footprint, bump_width, footprint_diameter,
-                               init_bump, step_attractor)
+                               bump_footprint, bump_width, count_components,
+                               footprint_diameter, init_bump, step_attractor)
 from wavenav.manifold import build_manifold
 
 
@@ -358,6 +358,33 @@ def test_footprint_contains_center_and_is_connected():
     assert fp[bump_center(state)]
     _, count = ndimage.label(fp.reshape(41, 41), structure=np.ones((3, 3), int))
     assert count == 1
+
+
+@st.composite
+def masks(draw):
+    """A 1x1 to 15x15 boolean mask at a density from 0 (empty) to 1 (full)."""
+    shape = (draw(st.integers(1, 15)), draw(st.integers(1, 15)))
+    density = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random(shape) < density
+
+
+def _mask(rows):
+    return np.array([[c == "#" for c in row] for row in rows])
+
+
+@settings(max_examples=500, deadline=None)
+@given(masks())
+# joined only diagonally, across one corner
+@example(_mask(["#..", ".#.", "..#"]))
+@example(_mask([".#", "#."]))
+# a row's last node and the next row's first are not neighbours
+@example(_mask(["..#", "#.."]))
+# components on every edge and corner
+@example(_mask(["#.#.#", ".....", "#...#", ".....", "#.#.#"]))
+def test_count_components_matches_ndimage_label(mask):
+    expected = ndimage.label(mask, structure=np.ones((3, 3)))[1]
+    assert count_components(mask) == expected
 
 
 def test_fixed_point_without_direction():

@@ -217,6 +217,25 @@ def test_verify_writes_report(tiny_cfg, tmp_path, capsys):
     with open(report) as fh:
         lines = fh.read().splitlines()
     assert len(lines) == 3 and lines[1] == lines[2]
+    # a report file that exists but is empty still gets the header first
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main(["verify", tiny_cfg, "--out", out,
+                 "--report", str(empty)]) == 0
+    assert empty.read_text().splitlines() == lines[:2]
+
+
+def test_verify_report_to_a_pipe(tiny_cfg, tmp_path, capsys):
+    # a pipe cannot tell its position: it gets the row, without a header
+    r, w = os.pipe()
+    with os.fdopen(r, "rb") as reader:
+        try:
+            assert main(["verify", tiny_cfg, "--out", str(tmp_path / "out"),
+                         "--report", f"/dev/fd/{w}"]) == 0
+        finally:
+            os.close(w)
+        piped = reader.read().decode("utf-8")
+    assert piped == capsys.readouterr().out.splitlines()[1] + "\n"
 
 
 def test_sweep_partitions_outputs_per_seed(tmp_path, capsys):

@@ -7,6 +7,7 @@ per-node distributions. The traversal keeps working, and the built-in
 asymmetry often breaks the symmetric block maze faster than the
 homogeneous run, which needs weight jitter to decide on a side.
 """
+import dataclasses
 import os
 import statistics
 
@@ -25,7 +26,7 @@ print(f"homogeneous block maze: {baseline.outcome}",
 steps = []
 for seed in range(10):
     cfg = load_config(os.path.join(SCENARIOS, "block_heterogeneous.cfg"))
-    cfg.seed = seed
+    cfg.synapse = dataclasses.replace(cfg.synapse, seed=seed)
     result, _ = run_scenario(cfg)
     print(f"seed {seed}: {result.outcome} in {len(result.trajectory)} steps")
     if result.outcome == "reached":

@@ -205,7 +205,10 @@ def step_attractor(state: AttractorState) -> AttractorState:
         _add_jitter(state, B, G, total, gx, gy)
     A = np.maximum(B, 0.0)
     A[m.blocked] = 0.0
-    total = A.sum()
+    with np.errstate(over="ignore"):
+        total = A.sum()
+    if not math.isfinite(total):
+        raise BumpLostError(f"total activity is {total} after update")
     if total <= 0.0:
         raise BumpLostError("activity vanished after update")
     state.A = A / total

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import os
 import statistics
 import sys
@@ -76,19 +77,22 @@ def _load(args) -> "ScenarioConfig":
             text = fh.read()
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from e
-    overrides = list(args.overrides)
-    if args.seed is not None:
-        overrides.append(f"seed={args.seed}")
-    if args.max_steps is not None:
-        overrides.append(f"max_steps={args.max_steps}")
-    if args.frame_stride is not None:
-        overrides.append(f"output.frame_stride={args.frame_stride}")
+    shortcuts = {"seed": args.seed, "max_steps": args.max_steps,
+                 "output.directory": args.out,
+                 "output.frame_stride": args.frame_stride}
+    overrides = args.overrides + [f"{key}={json.dumps(value)}"
+                                  for key, value in shortcuts.items()
+                                  if value is not None]
     if overrides:
         text = apply_overrides(text, overrides)
-    cfg = parse_config(text, name=scenario_name(args.config))
-    if args.out is not None:
-        cfg.out_dir = args.out
-    return cfg
+    return parse_config(text, name=scenario_name(args.config))
+
+
+def _exit_code(record) -> int:
+    """The exit code of a run's outcome; a lost bump's reason goes to stderr."""
+    if record.lost:
+        print(f"bump lost: {record.lost}", file=sys.stderr)
+    return EXIT_CODES[record.outcome]
 
 
 def _cmd_run(args) -> int:
@@ -97,7 +101,7 @@ def _cmd_run(args) -> int:
     print(f"{record.name}: {record.outcome}")
     if record.trajectory_csv:
         print(f"trajectory: {record.trajectory_csv}")
-    return EXIT_CODES[record.outcome]
+    return _exit_code(record)
 
 
 def _cmd_render(args) -> int:
@@ -105,7 +109,7 @@ def _cmd_render(args) -> int:
     cfg.frame_stride = cfg.frame_stride or 10
     _, record = run_scenario(cfg, out_dir=cfg.out_dir)
     print(f"{record.name}: {record.outcome}, {len(record.frames)} frames")
-    return EXIT_CODES[record.outcome]
+    return _exit_code(record)
 
 
 def _cmd_verify(args) -> int:
@@ -121,7 +125,7 @@ def _cmd_verify(args) -> int:
         fh.write((header + row + "\n").encode("utf-8"))
     print(iomod.REPORT_HEADER)
     print(row)
-    return EXIT_CODES[record.outcome]
+    return _exit_code(record)
 
 
 def _parse_seed_range(spec: str) -> range:
@@ -147,13 +151,14 @@ def _cmd_sweep(args) -> int:
     done_steps = []
     exit_code = EXIT_OK
     for seed in seeds:
-        cfg = dataclasses.replace(base, seed=seed)
+        cfg = dataclasses.replace(
+            base, synapse=dataclasses.replace(base.synapse, seed=seed))
         _, record = run_scenario(cfg, out_dir=os.path.join(out_root, f"seed_{seed}"))
         rows.append(f"{record.name},{seed},{record.outcome},{record.steps}")
         if record.outcome == success:
             done_steps.append(record.steps)
-        exit_code = max(exit_code, EXIT_CODES[record.outcome])
         print(f"seed {seed}: {record.outcome} ({record.steps} steps)")
+        exit_code = max(exit_code, _exit_code(record))
     with iomod.open_output(os.path.join(out_root, "sweep.csv"), "wb") as fh:
         fh.write("".join(row + "\n" for row in rows).encode("utf-8"))
     print(f"{success} {len(done_steps)}/{len(seeds)}"

@@ -10,14 +10,16 @@ Grammar (all sections optional unless noted):
       "mode":      "homogeneous" | "heterogeneous",
       "seed":      int >= 0 | null,        required to run heterogeneous mode
       "max_steps": int >= 1,               the planner's step budget
-      "synapse":   fields of wave.SynapseConfig,
+      "synapse":   fields of wave.SynapseConfig except mode and seed,
       "attractor": fields of attractor.AttractorParams,
       "coupling":  fields of planner.CouplingParams except max_steps,
-      "output":    {"frame_stride": int >= 0, "directory": str}
+      "output":    {"frame_stride": int >= 0, "directory": non-empty str}
     }
 
 A section's keys, their types and their defaults are those of its
-dataclass; its `validate` checks their ranges. Numbers must be finite.
+dataclass; its `validate` checks their ranges. mode and seed are
+SynapseConfig fields and max_steps a CouplingParams field, read from
+the top level. Numbers must be finite.
 Unknown keys anywhere are rejected. Multi-node "target" is only valid
 together with "start": null (wave-only scenarios with several sources);
 a start within coupling.arrival_radius of the target is rejected.
@@ -58,8 +60,6 @@ _TOP_KEYS = {"grid", "obstacles", "start", "target", "mode", "seed",
 class ScenarioConfig:
     start: tuple[int, int] | None
     targets: list
-    mode: str
-    seed: int | None
     synapse: SynapseConfig
     attractor: AttractorParams
     coupling: CouplingParams
@@ -196,16 +196,7 @@ def parse_config(text: str, name: str = "scenario") -> ScenarioConfig:
     if len(targets) > 1 and start is not None:
         raise ConfigError("multiple targets require start: null")
 
-    mode = raw.get("mode", "homogeneous")
-    if mode not in ("homogeneous", "heterogeneous"):
-        raise ConfigError(f"mode must be homogeneous or heterogeneous, got {mode!r}")
-    seed = raw.get("seed")
-    if seed is not None:
-        seed = _number(seed, "seed", integer=True)
-        if seed < 0:
-            raise ConfigError("seed must be >= 0")
-
-    synapse = _params(raw, "synapse", SynapseConfig)
+    synapse = _params(raw, "synapse", SynapseConfig, top_level=("mode", "seed"))
     attractor = _params(raw, "attractor", AttractorParams)
     coupling = _params(raw, "coupling", CouplingParams,
                        top_level=("max_steps",))
@@ -218,6 +209,8 @@ def parse_config(text: str, name: str = "scenario") -> ScenarioConfig:
     out_dir = out.get("directory", "out")
     if not isinstance(out_dir, str):
         raise ConfigError("output.directory must be a string")
+    if not out_dir:
+        raise ConfigError("output.directory must not be empty")
 
     _check_size(nx, ny, synapse)
     try:
@@ -225,7 +218,7 @@ def parse_config(text: str, name: str = "scenario") -> ScenarioConfig:
     except ValueError as e:
         raise ConfigError(f"obstacles: {e}") from e
     cfg = ScenarioConfig(
-        start=start, targets=targets, mode=mode, seed=seed, synapse=synapse,
+        start=start, targets=targets, synapse=synapse,
         attractor=attractor, coupling=coupling, frame_stride=frame_stride,
         out_dir=out_dir, name=name, manifold=m)
     _validate_geometry(cfg)

@@ -71,6 +71,14 @@ def euclidean_distance(m: Manifold, a: int, b: int) -> float:
     return math.hypot(ax - bx, ay - by)
 
 
+def route_length(points) -> float:
+    """Euclidean length of a list of (x, y) points, summed left to right."""
+    total = 0.0
+    for (ax, ay), (bx, by) in zip(points, points[1:]):
+        total += math.hypot(ax - bx, ay - by)
+    return total
+
+
 # distance of an offset under each metric, from |dx| and |dy|
 METRICS = {"euclid": np.hypot, "manhattan": np.add, "cheb": np.maximum}
 

@@ -8,13 +8,12 @@ neighbors in ascending node index for determinism.
 """
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .manifold import Manifold, lattice_pairs
+from .manifold import Manifold, lattice_pairs, route_length
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -76,9 +75,4 @@ def hop_count(path) -> int:
 
 def geometric_length(path, m: Manifold) -> float:
     """Sum of Euclidean hop lengths (diagonal hops count sqrt(2))."""
-    total = 0.0
-    for a, b in zip(path, path[1:]):
-        ax, ay = m.coords(a)
-        bx, by = m.coords(b)
-        total += math.hypot(ax - bx, ay - by)
-    return total
+    return route_length([m.coords(k) for k in path])

@@ -9,14 +9,13 @@ vector after `hold` steps; stop when the bump center is within
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .attractor import (AttractorParams, BumpLostError, bump_center,
                         bump_footprint, init_bump, step_attractor)
-from .manifold import Manifold, euclidean_distance
+from .manifold import Manifold, euclidean_distance, route_length
 from .wave import (SynapseConfig, build_synapses, init_neurons, set_stimulus,
                    step_wave)
 
@@ -65,6 +64,7 @@ class PlanResult:
     trajectory: list[StepRecord] = field(default_factory=list)
     path: list[tuple[int, int]] = field(default_factory=list)
     wavefronts_used: int = 0
+    lost: str | None = None  # why the bump was lost, with outcome BUMP_LOST
 
 
 def detect_overlap(c_mask: np.ndarray, p_mask: np.ndarray, m: Manifold):
@@ -85,7 +85,6 @@ def run_planner(m: Manifold, start: int, target: int,
                 synapse_cfg: SynapseConfig | None = None,
                 attractor_params: AttractorParams | None = None,
                 coupling: CouplingParams | None = None,
-                mode: str = "homogeneous", seed: int | None = None,
                 observer=None) -> PlanResult:
     """Run the coupled simulation from `start` toward `target`.
 
@@ -105,29 +104,25 @@ def run_planner(m: Manifold, start: int, target: int,
     if euclidean_distance(m, start, target) <= coupling.arrival_radius:
         raise ValueError("start lies within the arrival radius of the target")
 
-    wave = init_neurons(m, synapse_cfg, mode=mode, seed=seed)
+    wave = init_neurons(m, synapse_cfg)
     tables = build_synapses(m, synapse_cfg)
     set_stimulus(wave, target, True)
 
-    try:
-        bump = init_bump(m, start, attractor_params)
-    except BumpLostError:
-        return PlanResult(outcome=BUMP_LOST)
-
-    tx, ty = m.coords(target)
     hold = coupling.resolved_hold()
     recovery = 0
     hold_left = 0
     fronts = 0
     trajectory: list[StepRecord] = []
-    path = [m.coords(start)]
-    outcome = EXHAUSTED
+    path: list[tuple[int, int]] = []
+    outcome, lost = EXHAUSTED, None
 
-    for t in range(coupling.max_steps):
-        spikes_e, _ = step_wave(wave, tables)
-        hit = False
-        overlap_size = 0
-        try:
+    try:
+        bump = init_bump(m, start, attractor_params)
+        path.append(m.coords(start))
+        for t in range(coupling.max_steps):
+            spikes_e, _ = step_wave(wave, tables)
+            hit = False
+            overlap_size = 0
             if recovery == 0:
                 footprint = bump_footprint(bump)
                 overlap_size = int((footprint & spikes_e).sum())
@@ -147,31 +142,28 @@ def run_planner(m: Manifold, start: int, target: int,
             if recovery > 0:
                 recovery -= 1
             center = bump_center(bump)
-        except BumpLostError:
-            outcome = BUMP_LOST
-            break
-
-        trajectory.append(StepRecord(
-            t=t, bump_center=center, delta=delta_used,
-            overlap_size=overlap_size,
-            excitatory_spike_count=int(spikes_e.sum()),
-            wavefront_hit=hit))
-        cx, cy = m.coords(center)
-        if (cx, cy) != path[-1]:
-            path.append((cx, cy))
-        if observer is not None:
-            observer(t, wave, bump, spikes_e)
-        if math.hypot(cx - tx, cy - ty) <= coupling.arrival_radius:
-            outcome = REACHED
-            break
+            trajectory.append(StepRecord(
+                t=t, bump_center=center, delta=delta_used,
+                overlap_size=overlap_size,
+                excitatory_spike_count=int(spikes_e.sum()),
+                wavefront_hit=hit))
+            cx, cy = m.coords(center)
+            if (cx, cy) != path[-1]:
+                path.append((cx, cy))
+            if observer is not None:
+                observer(t, wave, bump, spikes_e)
+            if euclidean_distance(m, center, target) <= coupling.arrival_radius:
+                outcome = REACHED
+                break
+    except BumpLostError as e:
+        outcome, lost = BUMP_LOST, str(e)
 
     return PlanResult(outcome=outcome, trajectory=trajectory, path=path,
-                      wavefronts_used=fronts)
+                      wavefronts_used=fronts, lost=lost)
 
 
 def path_length(result: PlanResult) -> float:
     """Sum of Euclidean hops from the start over distinct bump centers."""
     if not result.path:
         raise ValueError("empty path")
-    return float(sum(math.hypot(b[0] - a[0], b[1] - a[1])
-                     for a, b in zip(result.path, result.path[1:])))
+    return route_length(result.path)

@@ -30,10 +30,11 @@ class ScenarioOutputs:
     optimum: float | None = None  # the oracle's length, set by verify
     trajectory_csv: str | None = None
     frames: list[str] = field(default_factory=list)
+    lost: str | None = None  # why the bump was lost, with outcome bump_lost
 
 
 def _require_seed(cfg: ScenarioConfig) -> None:
-    if cfg.mode == "heterogeneous" and cfg.seed is None:
+    if cfg.synapse.mode == "heterogeneous" and cfg.synapse.seed is None:
         raise ConfigError("heterogeneous mode requires a seed (use --seed)")
 
 
@@ -115,7 +116,7 @@ class _FrameWriter:
 
 def run_wave_only(cfg: ScenarioConfig, m: Manifold, write_frame=None):
     """Run the wave layer alone; returns the excitatory spike count per step."""
-    state = init_neurons(m, cfg.synapse, mode=cfg.mode, seed=cfg.seed)
+    state = init_neurons(m, cfg.synapse)
     tables = build_synapses(m, cfg.synapse)
     for tx, ty in cfg.targets:
         set_stimulus(state, m.index(tx, ty), True)
@@ -153,12 +154,12 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None):
             result = run_planner(
                 m, m.index(*cfg.start), m.index(*cfg.targets[0]),
                 synapse_cfg=cfg.synapse, attractor_params=cfg.attractor,
-                coupling=cfg.coupling, mode=cfg.mode, seed=cfg.seed,
-                observer=observer)
+                coupling=cfg.coupling, observer=observer)
             record = ScenarioOutputs(
                 cfg.name, result.outcome, len(result.trajectory),
                 result.wavefronts_used,
-                path_length(result) if result.path else None, frames=frames)
+                path_length(result) if result.path else None, frames=frames,
+                lost=result.lost)
     if out_dir:
         text = (iomod.format_wave_log(result, record) if cfg.start is None
                 else iomod.format_trajectory(result.trajectory, m, record))

@@ -36,13 +36,14 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class SynapseConfig:
-    """Wave-layer settings: synapse kernels, integration and drive.
+    """Wave-layer settings: synapse kernels, integration, drive, neuron types.
 
     Strengths fall off as s_max / d with d measured under `metric`, a
     key of manifold.METRICS. Excitatory kernels skip d = 0; the
     inhibitory-to-excitatory kernel includes it. `substeps` and
     `v_floor` set the Euler integration (see WaveState), `stim_dc` the
-    current into each stimulated node.
+    current into each stimulated node, `mode` and `seed` the neuron
+    parameters (see init_neurons).
     """
 
     s_ee_max: float = 50.0
@@ -54,6 +55,8 @@ class SynapseConfig:
     substeps: int = 2
     v_floor: float | None = -90.0
     stim_dc: float = 25.0
+    mode: str = "homogeneous"
+    seed: int | None = None
 
     def validate(self) -> "SynapseConfig":
         if self.s_ee_max <= 0 or self.s_ei_max <= 0:
@@ -66,6 +69,11 @@ class SynapseConfig:
             raise ValueError(f"unknown metric {self.metric!r}")
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
+        if self.mode not in ("homogeneous", "heterogeneous"):
+            raise ValueError(
+                f"mode must be homogeneous or heterogeneous, got {self.mode!r}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("seed must be >= 0")
         return self
 
 
@@ -144,30 +152,25 @@ class WaveState:
         self._t = np.empty(2 * m.n)
 
 
-def init_neurons(m: Manifold, cfg: SynapseConfig = SynapseConfig(),
-                 mode: str = "homogeneous", seed: int | None = None) -> WaveState:
+def init_neurons(m: Manifold, cfg: SynapseConfig = SynapseConfig()) -> WaveState:
     """Create neuron populations at rest (v = c, u = b*v, dc = 0), with
-    the integration and drive settings of `cfg`.
+    the neuron types, integration and drive settings of `cfg`.
 
     Parameters follow the maps of Izhikevich (2003) over per-neuron
     draws r_e, r_i in [0, 1): E neurons vary from regular spiking
     (r_e = 0) toward chattering, I neurons between low-threshold
     (r_i = 0) and fast spiking (r_i = 1). Homogeneous mode is the RS/FS
     pair r_e = 0, r_i = 1; heterogeneous mode draws r_e, then r_i, from
-    `default_rng(seed)`.
+    `default_rng(cfg.seed)`.
     """
     cfg.validate()
     n = m.n
-    if mode == "homogeneous":
+    if cfg.mode == "homogeneous":
         r_e, r_i = np.zeros(n), np.ones(n)
-    elif mode == "heterogeneous":
-        if seed is None:
-            raise ValueError("heterogeneous mode requires a seed")
-        rng = np.random.default_rng(seed)
-        r_e = rng.random(n)
-        r_i = rng.random(n)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        if cfg.seed is None:
+            raise ValueError("heterogeneous mode requires a seed")
+        r_e, r_i = np.random.default_rng(cfg.seed).random((2, n))
     a = np.concatenate((np.full(n, 0.02), 0.02 + 0.08 * r_i))
     b = np.concatenate((np.full(n, 0.2), 0.25 - 0.05 * r_i))
     c = np.concatenate((-65.0 + 15.0 * r_e ** 2, np.full(n, -65.0)))

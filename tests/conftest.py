@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import pytest
@@ -14,10 +15,10 @@ def scenario_path(name: str) -> str:
     return os.path.join(SCENARIO_DIR, name + ".cfg")
 
 
-def load_scenario(name: str, **overrides):
+def load_scenario(name: str, seed: int | None = None):
     cfg = load_config(scenario_path(name))
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
+    if seed is not None:
+        cfg.synapse = dataclasses.replace(cfg.synapse, seed=seed)
     return cfg
 
 

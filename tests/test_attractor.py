@@ -421,6 +421,15 @@ def test_zero_activity_is_fatal():
         bump_footprint(state)
 
 
+def test_overflowing_activity_is_fatal():
+    # the update's sum overflows: a lost bump, not a warning and a zero A
+    m = build_manifold(41, 41)
+    state = init_bump(m, m.index(20, 20), AttractorParams())
+    state.params = AttractorParams(J=1e308)
+    with pytest.raises(BumpLostError, match="total activity is inf"):
+        step_attractor(state)
+
+
 def test_blocked_nodes_stay_silent():
     m = build_manifold(31, 31, obstacles=[(14, 5, 16, 25)])
     state = init_bump(m, m.index(7, 15), AttractorParams())

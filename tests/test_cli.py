@@ -123,6 +123,43 @@ def test_bump_lost_exit_four(tmp_path, capsys):
         assert "bump_lost" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["run", "render", "verify", "sweep"])
+def test_bump_lost_reason_on_stderr(command, tmp_path, capsys):
+    # a warm-up that ends in two components, and one that ends in none
+    maze = scenario_path("s_maze")
+    sweep = ["--seeds", "0..0"] if command == "sweep" else []
+    for extra, reason in (
+            (["--set", "start=[20,12]", "--set", "attractor.warmup=0"],
+             "bump warm-up did not converge to a single component (got 2)"),
+            (["--set", "attractor.T=1e3"], "activity vanished after update")):
+        argv = [command, maze, "--out", str(tmp_path / "o")] + sweep + extra
+        assert main(argv) == 4
+        out, err = capsys.readouterr()
+        assert "bump_lost" in out
+        assert err == f"bump lost: {reason}\n"
+
+
+def test_overflowing_activity_is_a_lost_bump(tmp_path, capsys):
+    # J so large that the activity sum overflows: a lost bump with its
+    # reason, not a numpy warning (tier-1 turns RuntimeWarning into errors)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", scenario_path("simple"), "--out", str(tmp_path),
+                     "--max-steps", "5", "--set", "attractor.J=1e308"]) == 4
+    out, err = capsys.readouterr()
+    assert out.startswith("simple: bump_lost\n")
+    assert err == "bump lost: total activity is inf after update\n"
+
+
+def test_empty_out_exit_three(tiny_cfg, tmp_path, capsys):
+    # --out arrives as an output.directory override, so one check covers both
+    for argv in (["--out", ""], ["--set", 'output.directory=""']):
+        assert main(["run", tiny_cfg, "--max-steps", "5"] + argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "config error: output.directory must not be empty\n"
+
+
 def test_sweep_with_every_bump_lost_exits_four(tmp_path, capsys):
     # no run succeeds: the sweep exits with its runs' highest code, 4
     # for bump_lost rather than 2 for an exhausted budget

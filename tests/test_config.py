@@ -19,7 +19,7 @@ def test_minimal_config_gets_all_defaults():
     cfg = parse_config(MINIMAL)
     assert (cfg.manifold.nx, cfg.manifold.ny) == (41, 41)
     assert cfg.start == (4, 4) and cfg.targets == [(36, 36)]
-    assert cfg.mode == "homogeneous" and cfg.seed is None
+    assert cfg.synapse.mode == "homogeneous" and cfg.synapse.seed is None
     assert cfg.max_steps == 1000
     assert cfg.synapse.s_ee_max == 50.0
     assert cfg.synapse.d_e == 2.0 and cfg.synapse.d_i == 2.0
@@ -135,6 +135,8 @@ def test_invalid_parameter_combinations():
     ("coupling", {"arrival_radius": 1e300}, "start lies within"),
     ("attractor", {"seed_radius": 0}, "attractor: seed_radius must be positive"),
     ("attractor", {"sigma": 1e-200}, "attractor: sigma .* underflows"),
+    ("mode", "chaotic", "synapse: mode must be homogeneous or heterogeneous"),
+    ("output", {"directory": ""}, "output.directory must not be empty"),
 ])
 def test_malformed_values_are_config_errors(key, value, match):
     raw = json.loads(MINIMAL)
@@ -181,7 +183,7 @@ def test_apply_overrides():
                                      "synapse.metric=euclid"])
     cfg = parse_config(text)
     assert cfg.coupling.R == 9
-    assert cfg.seed == 4
+    assert cfg.synapse.seed == 4
     assert cfg.synapse.metric == "euclid"
     with pytest.raises(ConfigError, match="form"):
         apply_overrides(MINIMAL, ["coupling.R"])
@@ -209,7 +211,7 @@ def _field_defaults(cls) -> dict:
 
 @pytest.mark.parametrize("section", sorted(SECTIONS))
 def test_section_keys_are_the_dataclass_fields(section):
-    own = set(_field_defaults(SECTIONS[section])) - {"max_steps"}
+    own = set(_field_defaults(SECTIONS[section])) - {"max_steps", "mode", "seed"}
     candidates = {}
     for cls in SECTIONS.values():
         candidates.update(_field_defaults(cls))

@@ -5,6 +5,7 @@ import pytest
 
 from wavenav.attractor import AttractorParams, bump_width
 from wavenav.manifold import build_manifold, euclidean_distance
+from wavenav.oracle import geometric_length
 from wavenav.planner import (CouplingParams, detect_overlap, direction_vector,
                              path_length, run_planner)
 
@@ -161,6 +162,14 @@ def test_bump_lost_outcome():
     result = run_planner(m, m.index(4, 4), m.index(16, 16), attractor_params=p)
     assert result.outcome == "bump_lost"
     assert result.path == []
+    assert result.lost == "activity vanished after update"
+
+
+def test_path_length_is_the_oracle_route_length(simple_result):
+    cfg, result, _ = simple_result
+    m = cfg.manifold
+    nodes = [m.index(x, y) for x, y in result.path]
+    assert geometric_length(nodes, m) == path_length(result)
 
 
 def test_path_length_examples(simple_result):

@@ -153,7 +153,7 @@ def assert_steps_match_reference(state, tables, steps):
 def test_stacked_step_matches_population_reference(metric, mode, seed):
     m = build_manifold(21, 21, obstacles=[(12, 3, 13, 15)])
     tables = build_synapses(m, SynapseConfig(d_e=3.0, d_i=3.0, metric=metric))
-    state = init_neurons(m, mode=mode, seed=seed)
+    state = init_neurons(m, SynapseConfig(mode=mode, seed=seed))
     set_stimulus(state, m.index(5, 10), True)
     _, fired = assert_steps_match_reference(state, tables, 300)
     assert fired > 0
@@ -242,7 +242,7 @@ def test_homogeneous_parameters():
 
 def test_heterogeneous_parameter_ranges_and_coupling():
     m = build_manifold(21, 21)
-    state = init_neurons(m, mode="heterogeneous", seed=7)
+    state = init_neurons(m, SynapseConfig(mode="heterogeneous", seed=7))
     n = m.n
     c, d = state.c[:n], state.d[:n]
     assert np.all((c >= -65.0) & (c <= -50.0))
@@ -258,15 +258,15 @@ def test_heterogeneous_parameter_ranges_and_coupling():
 
 def test_heterogeneous_is_seeded():
     m = build_manifold(9, 9)
-    s1 = init_neurons(m, mode="heterogeneous", seed=3)
-    s2 = init_neurons(m, mode="heterogeneous", seed=3)
-    s3 = init_neurons(m, mode="heterogeneous", seed=4)
+    s1 = init_neurons(m, SynapseConfig(mode="heterogeneous", seed=3))
+    s2 = init_neurons(m, SynapseConfig(mode="heterogeneous", seed=3))
+    s3 = init_neurons(m, SynapseConfig(mode="heterogeneous", seed=4))
     assert np.array_equal(s1.c, s2.c) and np.array_equal(s1.a, s2.a)
     assert not np.array_equal(s1.c[:m.n], s3.c[:m.n])
     with pytest.raises(ValueError):
-        init_neurons(m, mode="heterogeneous")
+        init_neurons(m, SynapseConfig(mode="heterogeneous"))
     with pytest.raises(ValueError):
-        init_neurons(m, mode="chaotic")
+        init_neurons(m, SynapseConfig(mode="chaotic"))
 
 
 def test_set_stimulus():

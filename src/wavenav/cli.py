@@ -75,7 +75,7 @@ def _load(args) -> "ScenarioConfig":
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config: {e}") from e
     shortcuts = {"seed": args.seed, "max_steps": args.max_steps,
                  "output.directory": args.out,

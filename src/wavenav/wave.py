@@ -10,11 +10,11 @@ colliding fronts extinguish each other.
 Both populations live in one stacked state of 2n neurons: entry k < n
 is the E neuron of node k, entry n + k its I partner.
 
-Synaptic transmission is delayed by one step: the input current of
-step t is computed from the spikes of step t-1. Every membrane is
-integrated on every step, but spikes travel as events: the input is
-summed from the fan-out table rows of only the neurons that spiked, as
-a front is a thin ring of spikes.
+Synaptic transmission is delayed by one step: the input of step t comes
+from the spikes of step t-1. Membranes are integrated every step, but
+spikes travel as events along thin fronts: the input is summed from the
+fan-out rows of the neurons that spiked into a 2n vector the state keeps,
+and a step builds no lattice-sized float array but the (n+1)-long sums.
 """
 from __future__ import annotations
 
@@ -147,7 +147,8 @@ class WaveState:
         self.substeps = cfg.substeps
         self.v_floor = cfg.v_floor
         self.stim_dc = cfg.stim_dc
-        # scratch for the Euler update, reused by every step
+        # synaptic input and Euler scratch, reused by every step
+        self._in = np.empty(2 * m.n)
         self._dv = np.empty(2 * m.n)
         self._t = np.empty(2 * m.n)
 
@@ -192,6 +193,18 @@ def _check_finite(arr: np.ndarray, label: str, n: int) -> None:
         raise NumericalError(f"non-finite {label} at node {node}", node)
 
 
+def _post_sums(rows: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """Per-post sums (length n, sink dropped) of slot weights `w` over `rows`.
+
+    bincount adds each bin's terms to 0.0 in input order. Rows come in
+    ascending pre order and name each post at most once, so each sum is
+    the one a CSR row product over the 0/1 spike vector gives, to the bit
+    (a silent pre adds only +-0.0 there). No rows give int64 zeros.
+    """
+    return np.bincount(rows.ravel(), w[None].repeat(len(rows), 0).ravel(),
+                       minlength=n + 1)[:n]
+
+
 def step_wave(state: WaveState, tables: SynapseTables):
     """Advance both populations by one 1 ms step.
 
@@ -202,25 +215,12 @@ def step_wave(state: WaveState, tables: SynapseTables):
     n = state.manifold.n
     fired = np.flatnonzero(state.spikes)
     split = fired.searchsorted(n)
-    # bincount adds each bin's terms to 0.0 in input order. Rows come in
-    # ascending pre order and name each post at most once, so every input
-    # is the sum a CSR row product over the 0/1 spike vector gives, to
-    # the bit (a silent pre adds only +-0.0 there). e->e fills bins
-    # 0..n, e->i bins n+1..2n+1; bins n and 2n+1 are the sinks.
     e_rows = tables.e_posts[fired[:split]]
-    e_in = np.bincount(
-        np.concatenate((e_rows, e_rows + (n + 1)), axis=1).ravel(),
-        np.concatenate((tables.ee, tables.ei))[None].repeat(len(e_rows), 0).ravel(),
-        minlength=2 * (n + 1))
-    i_rows = tables.i_posts[fired[split:] - n]
-    i_in = np.bincount(i_rows.ravel(), tables.ie[None].repeat(len(i_rows), 0).ravel(),
-                       minlength=n + 1)
-    # with no rows, bincount returns int64 zeros
-    ee, ei = e_in.astype(float, copy=False).reshape(2, n + 1)[:, :n]
-    ie = i_in.astype(float, copy=False)[:n]
-    # e->e and i->e summed apart, in this order: one sum over both
-    # would add the same terms in another order and move v in its last bits
-    i_syn = np.concatenate((state.dc + ee + ie, ei))
+    # e->e, then i->e: one sum over both would reorder terms and move v's last bits
+    i_syn = state._in
+    i_syn[n:] = _post_sums(e_rows, tables.ei, n)
+    np.add(state.dc, _post_sums(e_rows, tables.ee, n), out=i_syn[:n])
+    i_syn[:n] += _post_sums(tables.i_posts[fired[split:] - n], tables.ie, n)
 
     v, u, dv, t = state.v, state.u, state._dv, state._t
     h = 1.0 / state.substeps

@@ -54,6 +54,10 @@ def test_config_error_exit_three(tmp_path, capsys):
     assert main(["run", str(bad)]) == 3
     assert "config error" in capsys.readouterr().err
     assert main(["run", str(tmp_path / "missing.cfg")]) == 3
+    latin = tmp_path / "latin.cfg"
+    latin.write_bytes(b"\xff" + json.dumps(TINY).encode())
+    assert main(["run", str(latin)]) == 3
+    assert "config error: cannot read config" in capsys.readouterr().err
     unknown = tmp_path / "unknown.cfg"
     unknown.write_text(json.dumps(dict(TINY, warp_speed=9)))
     assert main(["run", str(unknown)]) == 3

@@ -5,6 +5,7 @@ scalar implementation of the two membrane equations (same Euler
 scheme, same substep count) before this module existed.
 """
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -384,6 +385,34 @@ def test_step_is_deterministic():
 
     for a, b in zip(run(), run()):
         assert np.array_equal(a, b)
+
+
+def test_step_allocates_under_one_and_a_half_state_vectors():
+    """No step's traced peak reaches 1.5 vectors of 2n doubles.
+
+    The input is summed into a vector the state keeps, so a step holds
+    one (n+1)-double bincount output at a time (about half a vector),
+    plus the spike-sized fan-out rows and weights of that sum and the
+    2n-byte boolean masks of the spike and finiteness checks. A step
+    that built its input from fresh 2n arrays would peak far higher.
+    """
+    m = build_manifold(101, 101)
+    state = init_neurons(m)
+    tables = build_synapses(m)
+    set_stimulus(state, m.index(50, 50), True)
+    vector = 2 * m.n * np.dtype(float).itemsize
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(150):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            step_wave(state, tables)
+            peaks.append((tracemalloc.get_traced_memory()[1] - before) / vector)
+    finally:
+        tracemalloc.stop()
+    assert state.spikes.any()
+    assert max(peaks) < 1.5, (int(np.argmax(peaks)), max(peaks))
 
 
 def test_no_spike_without_cause():

@@ -29,6 +29,7 @@ MAX_ENTRIES is rejected before any of them is built.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -47,13 +48,15 @@ class ConfigError(ValueError):
 
 # Largest scenario accepted, in estimated entries of one wave-layer
 # synapse table plus the attractor's two kernel factors (see _check_size).
-# Runs just under it peak at about 0.6 GB resident (575 MB for 1330x1330
-# with synapse range 1, 315 MB for 210x210 with range 10, "cheb" metric).
+# Runs just under it peak at about 0.5 GB resident (519 MB for 1330x1330
+# with synapse range 1, 190 MB for 210x210 with range 10, "cheb" metric).
 MAX_ENTRIES = 20_000_000
 
 _OUTPUT_KEYS = {"frame_stride", "directory"}
 _TOP_KEYS = {"grid", "obstacles", "start", "target", "mode", "seed",
              "max_steps", "synapse", "attractor", "coupling", "output"}
+# field annotations of a dataclass, evaluated once per class
+_hints = functools.cache(typing.get_type_hints)
 
 
 @dataclass
@@ -135,7 +138,7 @@ def _params(raw: dict, key: str, cls, top_level: tuple = ()):
     in `top_level`, which are read from the top level instead. Omitted
     fields keep the dataclass defaults.
     """
-    hints = typing.get_type_hints(cls)
+    hints = _hints(cls)
     names = {f.name for f in dataclasses.fields(cls)} - set(top_level)
     given = {name: _typed(value, hints[name], f"{key}.{name}")
              for name, value in _section(raw, key, names).items()}

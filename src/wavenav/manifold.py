@@ -1,9 +1,9 @@
 """2D lattice manifold with rectangular obstacles.
 
 Nodes are indexed row-major: index = y * nx + x. Distances are in
-lattice units. `lattice_pairs` walks the node pairs within a radius,
-one lattice offset at a time; it builds both the wave layer's synapse
-tables and the oracle's graph.
+lattice units. `fan_out` builds the one table of node pairs within a
+radius, a column per lattice offset; the wave layer's synapse tables
+and the oracle's graph are both read from it.
 """
 from __future__ import annotations
 
@@ -24,9 +24,7 @@ class Manifold:
         self.nx = int(nx)
         self.ny = int(ny)
         self.blocked = blocked
-        idx = np.arange(nx * ny)
-        self.xs = idx % nx
-        self.ys = idx // nx
+        self.ys, self.xs = np.divmod(np.arange(nx * ny), nx)
 
     @property
     def n(self) -> int:
@@ -83,6 +81,10 @@ def route_length(points) -> float:
 METRICS = {"euclid": np.hypot, "manhattan": np.add, "cheb": np.maximum}
 
 
+def within(dist, radius):
+    return dist <= radius + 1e-12  # up to rounding
+
+
 def lattice_offsets(radius: float, metric: str):
     """(dx, dy, distance) for all offsets with 0 < distance <= radius,
     row by row (dy outer, dx inner)."""
@@ -91,23 +93,31 @@ def lattice_offsets(radius: float, metric: str):
     r = max(int(np.ceil(radius)), 0)
     dy, dx = np.mgrid[-r:r + 1, -r:r + 1]
     d = METRICS[metric](abs(dx), abs(dy)).astype(float)
-    keep = (d > 0) & (d <= radius + 1e-12)
+    keep = (d > 0) & within(d, radius)
     return [(int(x), int(y), float(v))
             for x, y, v in zip(dx[keep], dy[keep], d[keep])]
 
 
-def lattice_pairs(m: Manifold, radius: float, metric: str):
-    """Walk the lattice offsets 0 < distance <= radius under `metric`
-    in `lattice_offsets` order. For each offset that joins at least one
-    pair of unblocked nodes, yield (pre, post, dist): the arrays of those
-    pairs, pre ascending, and their common distance."""
-    ok = ~m.blocked
+def fan_out(m: Manifold, radius: float, metric: str):
+    """(posts, dists): a column of `posts` (n x K, int32) for each offset
+    0 < distance <= radius, in `lattice_offsets` order, that joins any
+    pair of unblocked nodes, and those offsets' distances. Row k holds the
+    node each offset reaches from node k, or the sink n where it leaves
+    the lattice or either end is blocked; in-grid posts ascend."""
+    nx, ny = m.nx, m.ny
+    ok = ~m.blocked.reshape(ny, nx)
+    node = np.arange(m.n, dtype=np.int32).reshape(ny, nx)
     # no in-grid offset lies nx + ny or more away under any metric
-    for dx, dy, d in lattice_offsets(min(radius, m.nx + m.ny), metric):
-        px, py = m.xs + dx, m.ys + dy
-        inside = (px >= 0) & (px < m.nx) & (py >= 0) & (py < m.ny)
-        pre = np.nonzero(inside & ok)[0]
-        post = (m.ys[pre] + dy) * m.nx + (m.xs[pre] + dx)
-        keep = ok[post]
-        if keep.any():
-            yield pre[keep], post[keep], d
+    offsets = [o for o in lattice_offsets(min(radius, nx + ny), metric)
+               if abs(o[0]) < nx and abs(o[1]) < ny]
+    posts = np.full((m.n, len(offsets)), m.n, dtype=np.int32)
+    grid, dists = posts.reshape(ny, nx, len(offsets)), []
+    for dx, dy, d in offsets:
+        # the pre nodes whose shifted post stays in the grid, and those posts
+        pre = slice(max(-dy, 0), ny - max(dy, 0)), slice(max(-dx, 0), nx - max(dx, 0))
+        post = slice(max(dy, 0), ny + min(dy, 0)), slice(max(dx, 0), nx + min(dx, 0))
+        both = ok[pre] & ok[post]
+        if both.any():
+            np.copyto(grid[pre + (len(dists),)], node[post], where=both)
+            dists.append(d)
+    return np.ascontiguousarray(posts[:, :len(dists)]), np.array(dists)

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .manifold import Manifold, lattice_pairs, route_length
+from .manifold import Manifold, fan_out, route_length
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -28,16 +28,11 @@ def build_graph(m: Manifold, radius: float = 1.0) -> sp.csr_matrix:
     # imported here, so that importing wavenav loads numpy alone
     import scipy.sparse as sp
 
-    # empty seeds keep a radius below one step (no pairs) well-defined
-    pres, posts = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
-    for pre, post, _ in lattice_pairs(m, radius, "euclid"):
-        pres.append(pre)
-        posts.append(post)
-    pre, post = np.concatenate(pres), np.concatenate(posts)
-    adj = sp.csr_matrix((np.ones(len(pre), dtype=bool), (pre, post)),
-                        shape=(m.n, m.n))
-    adj.sort_indices()
-    return adj
+    posts, _ = fan_out(m, radius, "euclid")
+    inside = posts < m.n
+    # each row's in-grid posts already ascend
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(inside, axis=1))))
+    return sp.csr_matrix((np.ones(indptr[-1], bool), posts[inside], indptr), (m.n, m.n))
 
 
 def traverse(g: sp.csr_matrix, s: int, policy: str = FIFO) -> dict[int, int]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import METRICS, Manifold, lattice_pairs
+from .manifold import METRICS, Manifold, fan_out, within
 
 
 class NumericalError(RuntimeError):
@@ -97,32 +97,24 @@ class SynapseTables:
     ie: np.ndarray
 
 
-def _fan_out(m: Manifold, radius: float, metric: str, own: bool):
-    """Posts (n x K, int32) and slot distances (K) of one kernel; with
-    `own`, slot 0 is each unblocked node itself at distance 0."""
-    sink = np.int32(m.n)
-    cols = [np.where(m.blocked, sink, np.arange(m.n, dtype=np.int32))] if own else []
-    dists = [0.0] if own else []
-    for pre, post, d in lattice_pairs(m, radius, metric):
-        col = np.full(m.n, sink)
-        col[pre] = post
-        cols.append(col)
-        dists.append(d)
-    posts = np.empty((m.n, len(cols)), dtype=np.int32)
-    for j, col in enumerate(cols):
-        posts[:, j] = col
-    return posts, np.array(dists)
-
-
 def build_synapses(m: Manifold, cfg: SynapseConfig = SynapseConfig()) -> SynapseTables:
-    """Build the fan-out tables; blocked nodes get no entries."""
+    """Both kernels from one fan-out table; blocked nodes get no entries."""
     cfg.validate()
-    e_posts, e_dist = _fan_out(m, cfg.d_e, cfg.metric, own=False)
-    i_posts, i_dist = _fan_out(m, cfg.d_i, cfg.metric, own=True)
+    posts, dists = fan_out(m, max(cfg.d_e, cfg.d_i), cfg.metric)
+    e_cols, i_cols = within(dists, cfg.d_e), within(dists, cfg.d_i)
+    # one fancy index makes an F-ordered copy; the i table goes in row blocks
+    e_posts = posts if e_cols.all() else np.ascontiguousarray(posts[:, e_cols])
+    i_posts = np.empty((m.n, 1 + np.count_nonzero(i_cols)), dtype=np.int32)
+    i_posts[:, 0] = np.arange(m.n, dtype=np.int32)
+    i_posts[m.blocked, 0] = m.n
+    take = slice(None) if i_cols.all() else i_cols
+    for lo in range(0, m.n, 1024):
+        i_posts[lo:lo + 1024, 1:] = posts[lo:lo + 1024, take]
+    e_dist, i_dist = dists[e_cols], dists[i_cols]
     return SynapseTables(
         e_posts=e_posts, ee=cfg.s_ee_max / e_dist, ei=cfg.s_ei_max / e_dist,
         i_posts=i_posts,
-        ie=np.concatenate(([cfg.s_ie_max], cfg.s_ie_max / i_dist[1:])))
+        ie=np.concatenate(([cfg.s_ie_max], cfg.s_ie_max / i_dist)))
 
 
 class WaveState:

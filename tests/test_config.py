@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -199,6 +200,23 @@ def test_load_config_names_after_the_file(tmp_path):
     path = tmp_path / "my_run.cfg"
     path.write_text(MINIMAL)
     assert load_config(path).name == "my_run"
+
+
+def test_a_second_parse_evaluates_no_annotations(monkeypatch):
+    text = json.dumps({**json.loads(MINIMAL), "synapse": {"d_e": 3},
+                       "attractor": {"J": 11}, "coupling": {"R": 10}})
+    first = parse_config(text)
+
+    def evaluated(*args, **kwargs):
+        raise AssertionError("field annotations evaluated again")
+
+    monkeypatch.setattr(typing, "get_type_hints", evaluated)
+    again = parse_config(text)
+    assert (again.synapse, again.attractor, again.coupling) == (
+        first.synapse, first.attractor, first.coupling)
+    with pytest.raises(ConfigError, match="synapse.d_e must be a number"):
+        parse_config(json.dumps({**json.loads(MINIMAL),
+                                 "synapse": {"d_e": "far"}}))
 
 
 SECTIONS = {"synapse": SynapseConfig, "attractor": AttractorParams,

@@ -95,10 +95,11 @@ def _section(raw: dict, key: str, allowed) -> dict:
 
 
 def _coord(value, where: str) -> tuple[int, int]:
-    if (not isinstance(value, list) or len(value) != 2
-            or not all(isinstance(v, int) for v in value)):
+    if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"{where} must be a [x, y] pair of integers")
-    return value[0], value[1]
+    x, y = (_number(v, f"{where}[{i}]", integer=True)
+            for i, v in enumerate(value))
+    return x, y
 
 
 def _number(value, where: str, integer: bool = False):
@@ -180,10 +181,10 @@ def parse_config(text: str, name: str = "scenario") -> ScenarioConfig:
         raise ConfigError("obstacles must be a list of rectangles")
     rects = []
     for i, rect in enumerate(obstacles):
-        if (not isinstance(rect, list) or len(rect) != 4
-                or not all(isinstance(v, int) for v in rect)):
+        if not isinstance(rect, list) or len(rect) != 4:
             raise ConfigError(f"obstacles[{i}] must be [x0, y0, x1, y1] integers")
-        rects.append(tuple(rect))
+        rects.append(tuple(_number(v, f"obstacles[{i}][{j}]", integer=True)
+                           for j, v in enumerate(rect)))
 
     start = raw.get("start")
     if start is not None:

@@ -138,6 +138,10 @@ def test_invalid_parameter_combinations():
     ("attractor", {"sigma": 1e-200}, "attractor: sigma .* underflows"),
     ("mode", "chaotic", "synapse: mode must be homogeneous or heterogeneous"),
     ("output", {"directory": ""}, "output.directory must not be empty"),
+    # JSON booleans are not integers, though Python's bool is an int
+    ("start", [True, 4], r"start\[0\] must be a number"),
+    ("target", [36, True], r"target\[1\] must be a number"),
+    ("obstacles", [[False, 8, True, 9]], r"obstacles\[0\]\[0\] must be a number"),
 ])
 def test_malformed_values_are_config_errors(key, value, match):
     raw = json.loads(MINIMAL)

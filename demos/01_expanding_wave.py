@@ -12,7 +12,7 @@ import numpy as np
 
 from wavenav import build_manifold, build_synapses, init_neurons
 from wavenav import set_stimulus, step_wave
-from wavenav.io import write_frame
+from wavenav.io import frame_path, write_frame
 
 OUT = os.path.join("demo_out", "expanding_wave")
 
@@ -31,8 +31,7 @@ for t in range(120):
         r = np.hypot(m.xs[spikes_e] - 50.0, m.ys[spikes_e] - 50.0).max()
         radii.append((t, r))
     if t % 10 == 0:
-        write_frame(os.path.join(OUT, f"frame_{t:05d}.pgm"),
-                    spikes_e, None, m)
+        write_frame(frame_path(OUT, t), spikes_e, None, m)
 
 slope = np.polyfit([t for t, _ in radii[:40]], [r for _, r in radii[:40]], 1)[0]
 print(f"leading edge after {radii[-1][0]} steps: radius {radii[-1][1]:.1f}")

@@ -11,7 +11,7 @@ import os
 
 from wavenav import build_manifold, build_synapses, init_neurons
 from wavenav import set_stimulus, step_wave
-from wavenav.io import write_frame
+from wavenav.io import frame_path, write_frame
 
 OUT = os.path.join("demo_out", "annihilation")
 
@@ -29,8 +29,7 @@ for t in range(160):
     if spikes_e[mid]:
         mid_spikes.append(t)
     if t % 5 == 0:
-        write_frame(os.path.join(OUT, f"frame_{t:05d}.pgm"),
-                    spikes_e, None, m)
+        write_frame(frame_path(OUT, t), spikes_e, None, m)
 
 print("sources 40 nodes apart; fronts meet near the midpoint")
 print("midpoint spike times:", mid_spikes)

@@ -26,6 +26,9 @@ from .manifold import Manifold
 
 # 2^-511: the product of two factor entries at or above it is a normal double
 KERNEL_FLOOR = math.sqrt(sys.float_info.min)
+# bytes of jitter blocks held from one step to the next, at most; they
+# peak at 0.5 MB on a 41x41 lattice but grow about as N^4 with its side
+JITTER_HELD_BYTES = 16 << 20
 
 
 class BumpLostError(RuntimeError):
@@ -245,7 +248,7 @@ def _add_jitter(state: AttractorState, B: np.ndarray, G: np.ndarray,
     # band columns alone can round differently. Every chunk writes the
     # same columns, so one zeroed buffer serves the whole step.
     Z = np.zeros((int((x1s - x0s).max()), m.n))
-    blocks = {}
+    blocks, held = {}, 0
     for y, x0, x1 in zip(ys.tolist(), x0s.tolist(), x1s.tolist()):
         lo = y * m.nx
         key = (x0, x1, c0, c1, state.delta)
@@ -256,8 +259,11 @@ def _add_jitter(state: AttractorState, B: np.ndarray, G: np.ndarray,
             P *= ((p.J * gx[x0:x1, None, :]) * gy[y, ya:yb, None]
                   - p.T).reshape(len(P), c1 - c0)
         # a block is held for the next step only once its key has repeated,
-        # so steps whose chunks keep moving (warm-up's first) hold nothing
-        blocks[y] = (key, P if repeated else None)
+        # so steps whose chunks keep moving (warm-up's first) hold nothing,
+        # and only within JITTER_HELD_BYTES; one left out is drawn again
+        keep = repeated and held + P.nbytes <= JITTER_HELD_BYTES
+        held += P.nbytes if keep else 0
+        blocks[y] = (key, P if keep else None)
         Z[:x1 - x0, c0:c1] = P
         B += p.jitter_mag * (state.A[lo + x0:lo + x1] @ Z[:x1 - x0])
     state._blocks = blocks

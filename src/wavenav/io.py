@@ -2,11 +2,13 @@
 
 All output is byte-deterministic for a given run: fixed headers,
 explicit float formatting, no locale involvement. Footers and report
-rows read a run's record, a runner.ScenarioOutputs.
+rows read a run's record, a runner.ScenarioOutputs. Frames are named,
+encoded, written and created ahead of a run here alone.
 """
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 
@@ -78,20 +80,94 @@ def pgm_bytes(spikes_e: np.ndarray | None, activity: np.ndarray | None,
     Spiking nodes render 255; activity is scaled to its own maximum;
     blocked nodes render mid-gray (128).
     """
-    img = np.zeros(m.n)
+    pix = np.zeros(m.n, dtype=np.uint8)
     if activity is not None and activity.max() > 0:
-        img = np.maximum(img, activity / activity.max())
+        pix[:] = np.rint(np.maximum(activity / activity.max(), 0.0) * 255.0)
     if spikes_e is not None:
-        img = np.maximum(img, spikes_e.astype(float))
-    pix = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
+        pix[spikes_e] = 255
     pix[m.blocked] = 128
-    header = f"P5\n{m.nx} {m.ny}\n255\n".encode("ascii")
-    return header + pix.tobytes()
+    return f"P5\n{m.nx} {m.ny}\n255\n".encode("ascii") + pix.tobytes()
+
+
+def frame_path(out_dir: str, t: int) -> str:
+    """The file of frame t in out_dir."""
+    return os.path.join(out_dir, f"frame_{t:05d}.pgm")
 
 
 def write_frame(path: str, spikes_e, activity, m: Manifold) -> None:
     with open_output(path, "wb") as fh:
         fh.write(pgm_bytes(spikes_e, activity, m))
+
+
+# frame files the creator thread may make ahead of the last frame written
+FRAME_LOOKAHEAD = 8
+
+
+class FrameWriter:
+    """write(t, spikes_e, activity) dumping every stride-th step of a
+    steps-long run as a PGM frame into out_dir; a context around the run
+    that yields None when no frames are due.
+
+    Making a new directory entry costs far more than filling one, so the
+    first frame starts one daemon thread that creates the coming frames'
+    files empty, at most FRAME_LOOKAHEAD ahead of the last frame written,
+    and skips names that exist. Each frame is still written whole by
+    write_frame on the calling thread, so it is complete when write
+    returns; the first one makes out_dir. On exit, normal or raising,
+    the thread is joined and every file it created that no frame filled
+    is removed: the run leaves the same files, with the same bytes, as
+    if it wrote them all itself.
+    """
+
+    def __init__(self, out_dir: str | None, stride: int, steps: int,
+                 m: Manifold, frames: list[str]):
+        self.out_dir, self.stride, self.steps = out_dir, stride, steps
+        self.m, self.frames = m, frames
+        self._room = threading.Semaphore(FRAME_LOOKAHEAD)
+        self._stop = False
+        self._created: list[str] = []
+        self._thread: threading.Thread | None = None
+
+    def __call__(self, t, spikes_e, activity):
+        if t % self.stride:
+            return
+        frame = frame_path(self.out_dir, t)
+        write_frame(frame, spikes_e, activity, self.m)
+        self.frames.append(frame)
+        if self._thread is None:
+            self._thread = threading.Thread(
+                target=self._create, name="wavenav-frame-creator", daemon=True)
+            self._thread.start()
+        self._room.release()
+
+    def _create(self) -> None:
+        for t in range(0, self.steps, self.stride):
+            self._room.acquire()
+            if self._stop:
+                return
+            path = frame_path(self.out_dir, t)
+            try:
+                os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                                 0o666))
+            except FileExistsError:
+                continue
+            except OSError:
+                return  # the writer's own open reports what is wrong
+            self._created.append(path)
+
+    def __enter__(self):
+        return self if self.out_dir and self.stride else None
+
+    def __exit__(self, *exc_info):
+        if self._thread is None:
+            return
+        self._stop = True
+        self._room.release()
+        self._thread.join()
+        filled = set(self.frames)
+        for path in self._created:
+            if path not in filled:
+                os.unlink(path)
 
 
 def report_row(record) -> str:

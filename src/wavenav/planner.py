@@ -85,11 +85,11 @@ def run_planner(m: Manifold, start: int, target: int,
                 synapse_cfg: SynapseConfig | None = None,
                 attractor_params: AttractorParams | None = None,
                 coupling: CouplingParams | None = None,
-                observer=None) -> PlanResult:
+                write_frame=None) -> PlanResult:
     """Run the coupled simulation from `start` toward `target`.
 
-    `observer(t, wave_state, attractor_state, spikes_e)` is called once
-    per step after both layers advanced, for logging or rendering.
+    `write_frame(t, spikes_e, activity)`, run_wave_only's hook too, gets
+    each step's spikes and the bump's activity A once both layers advanced.
     """
     synapse_cfg = synapse_cfg or SynapseConfig()
     attractor_params = attractor_params or AttractorParams()
@@ -125,7 +125,7 @@ def run_planner(m: Manifold, start: int, target: int,
             overlap_size = 0
             if recovery == 0:
                 footprint = bump_footprint(bump)
-                overlap_size = int((footprint & spikes_e).sum())
+                overlap_size = int(np.count_nonzero(footprint & spikes_e))
                 mean = detect_overlap(footprint, spikes_e, m)
                 if mean is not None:
                     bump.set_delta(direction_vector(mean, bump_center(bump), m))
@@ -145,13 +145,13 @@ def run_planner(m: Manifold, start: int, target: int,
             trajectory.append(StepRecord(
                 t=t, bump_center=center, delta=delta_used,
                 overlap_size=overlap_size,
-                excitatory_spike_count=int(spikes_e.sum()),
+                excitatory_spike_count=int(np.count_nonzero(spikes_e)),
                 wavefront_hit=hit))
             cx, cy = m.coords(center)
             if (cx, cy) != path[-1]:
                 path.append((cx, cy))
-            if observer is not None:
-                observer(t, wave, bump, spikes_e)
+            if write_frame is not None:
+                write_frame(t, spikes_e, bump.A)
             if euclidean_distance(m, center, target) <= coupling.arrival_radius:
                 outcome = REACHED
                 break

@@ -3,8 +3,9 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import io as iomod
 from .config import ConfigError, ScenarioConfig
@@ -38,82 +39,6 @@ def _require_seed(cfg: ScenarioConfig) -> None:
         raise ConfigError("heterogeneous mode requires a seed (use --seed)")
 
 
-# frame files the creator thread may make ahead of the last frame written
-FRAME_LOOKAHEAD = 8
-
-
-def _frame_path(out_dir: str, t: int) -> str:
-    return os.path.join(out_dir, f"frame_{t:05d}.pgm")
-
-
-class _FrameWriter:
-    """write(t, spikes_e, activity) dumping every stride-th step of a
-    steps-long run as a PGM frame into out_dir; a context around the run
-    that yields None when no frames are due.
-
-    Making a new directory entry costs far more than filling one, so the
-    first frame starts one daemon thread that creates the coming frames'
-    files empty, at most FRAME_LOOKAHEAD ahead of the last frame written,
-    and skips names that exist. Each frame is still written whole by
-    io.write_frame on the calling thread, so it is complete when write
-    returns; the first one makes out_dir. On exit, normal or raising,
-    the thread is joined and every file it created that no frame filled
-    is removed: the run leaves the same files, with the same bytes, as
-    if it wrote them all itself.
-    """
-
-    def __init__(self, out_dir: str | None, stride: int, steps: int,
-                 m: Manifold, frames: list[str]):
-        self.out_dir, self.stride, self.steps = out_dir, stride, steps
-        self.m, self.frames = m, frames
-        self._room = threading.Semaphore(FRAME_LOOKAHEAD)
-        self._stop = False
-        self._created: list[str] = []
-        self._thread: threading.Thread | None = None
-
-    def __call__(self, t, spikes_e, activity):
-        if t % self.stride:
-            return
-        frame = _frame_path(self.out_dir, t)
-        iomod.write_frame(frame, spikes_e, activity, self.m)
-        self.frames.append(frame)
-        if self._thread is None:
-            thread = threading.Thread(
-                target=self._create, name="wavenav-frame-creator", daemon=True)
-            thread.start()
-            self._thread = thread
-        self._room.release()
-
-    def _create(self) -> None:
-        for t in range(0, self.steps, self.stride):
-            self._room.acquire()
-            if self._stop:
-                return
-            path = _frame_path(self.out_dir, t)
-            try:
-                os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
-                                 0o666))
-            except FileExistsError:
-                continue
-            except OSError:
-                return  # the writer's own open reports what is wrong
-            self._created.append(path)
-
-    def __enter__(self):
-        return self if self.out_dir and self.stride else None
-
-    def __exit__(self, *exc_info):
-        if self._thread is None:
-            return
-        self._stop = True
-        self._room.release()
-        self._thread.join()
-        filled = set(self.frames)
-        for path in self._created:
-            if path not in filled:
-                os.unlink(path)
-
-
 def run_wave_only(cfg: ScenarioConfig, m: Manifold, write_frame=None):
     """Run the wave layer alone; returns the excitatory spike count per step."""
     state = init_neurons(m, cfg.synapse)
@@ -123,7 +48,7 @@ def run_wave_only(cfg: ScenarioConfig, m: Manifold, write_frame=None):
     counts = []
     for t in range(cfg.max_steps):
         spikes_e, _ = step_wave(state, tables)
-        counts.append(int(spikes_e.sum()))
+        counts.append(int(np.count_nonzero(spikes_e)))
         if write_frame is not None:
             write_frame(t, spikes_e, None)
     return counts
@@ -142,19 +67,17 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None):
     if out_dir is None and cfg.frame_stride:
         out_dir = cfg.out_dir
     frames: list[str] = []
-    with _FrameWriter(out_dir, cfg.frame_stride, cfg.max_steps, m,
-                      frames) as write:
+    with iomod.FrameWriter(out_dir, cfg.frame_stride, cfg.max_steps, m,
+                           frames) as write:
         if cfg.start is None:
             result = run_wave_only(cfg, m, write)
             record = ScenarioOutputs(cfg.name, WAVE_COMPLETED, len(result), 0,
                                      frames=frames)
         else:
-            observer = None if write is None else (
-                lambda t, wave, bump, spikes_e: write(t, spikes_e, bump.A))
             result = run_planner(
                 m, m.index(*cfg.start), m.index(*cfg.targets[0]),
                 synapse_cfg=cfg.synapse, attractor_params=cfg.attractor,
-                coupling=cfg.coupling, observer=observer)
+                coupling=cfg.coupling, write_frame=write)
             record = ScenarioOutputs(
                 cfg.name, result.outcome, len(result.trajectory),
                 result.wavefronts_used,

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from wavenav import attractor
 from wavenav.attractor import (KERNEL_FLOOR, AttractorParams, AttractorState,
                                BumpLostError, attractor_weight, bump_center,
                                bump_footprint, bump_width, count_components,
@@ -153,35 +154,66 @@ def test_jitter_term_is_bitwise_the_reference(seed, lattice):
         assert np.array_equal(state.A, expected), t
 
 
-@pytest.mark.parametrize("jitter_mag", [0.01, 1e-9])
-@pytest.mark.parametrize("lattice", ["41x41_block", "29x19_obstacle"])
-def test_banded_jitter_is_bitwise_the_full_field(lattice, jitter_mag):
-    # a warmed bump on a maze-sized lattice: the jitter term is drawn over
-    # a band of lattice rows strictly inside the lattice, and held blocks
-    # are reused; every bit must match the term over all n columns
-    if lattice == "41x41_block":
-        m = build_manifold(41, 41, obstacles=[(14, 14, 26, 26)])
-        start, deltas = (8, 20), [(0.0, 0.0), (0.02, 0.0), (0.02, 0.001),
-                                  (0.0, -0.015), (0.001, 0.0), (-0.01, 0.01)]
-    else:
-        m = build_manifold(29, 19, obstacles=[(12, 4, 15, 12)])
-        start, deltas = (6, 9), [(0.0, 0.0), (0.03, 0.0), (0.03, 0.002),
-                                 (0.0, 0.03), (0.001, 0.0), (-0.02, -0.02)]
+# lattice, warm-up start and the deltas of six ten-step legs, each a
+# maze-sized lattice with an obstacle inside the jitter's band
+BANDED_LATTICES = {
+    "41x41_block": (build_manifold(41, 41, obstacles=[(14, 14, 26, 26)]),
+                    (8, 20), [(0.0, 0.0), (0.02, 0.0), (0.02, 0.001),
+                              (0.0, -0.015), (0.001, 0.0), (-0.01, 0.01)]),
+    "29x19_obstacle": (build_manifold(29, 19, obstacles=[(12, 4, 15, 12)]),
+                       (6, 9), [(0.0, 0.0), (0.03, 0.0), (0.03, 0.002),
+                                (0.0, 0.03), (0.001, 0.0), (-0.02, -0.02)]),
+}
+
+
+def banded_jitter_steps(lattice, jitter_mag):
+    """Step a warmed jittered bump through the lattice's legs, asserting
+    after each step that every bit of A matches the term over all n
+    columns; yields the held blocks from before and after the step."""
+    m, start, deltas = BANDED_LATTICES[lattice]
     p = AttractorParams(sigma=0.031, jitter_seed=2, jitter_mag=jitter_mag)
     field = np.random.default_rng(p.jitter_seed).uniform(-1.0, 1.0, (m.n, m.n))
     state = init_bump(m, m.index(*start), p)
     expected = state.A.copy()
-    inside = reused = 0
-    for t in range(60):
+    for t in range(10 * len(deltas)):
         state.set_delta(deltas[t // 10])
-        held = {id(P) for _, P in state._blocks.values() if P is not None}
+        before = state._blocks
         expected = reference_jitter_step(expected, state, field)
         step_attractor(state)
         assert np.array_equal(state.A, expected), t
-        keys = [key for key, _ in state._blocks.values()]
-        inside += all(0 < c0 and c1 < m.n for _, _, c0, c1, _ in keys)
-        reused += any(id(P) in held for _, P in state._blocks.values())
+        yield before, state._blocks
+
+
+@pytest.mark.parametrize("jitter_mag", [0.01, 1e-9])
+@pytest.mark.parametrize("lattice", ["41x41_block", "29x19_obstacle"])
+def test_banded_jitter_is_bitwise_the_full_field(lattice, jitter_mag):
+    # the jitter term is drawn over a band of lattice rows strictly inside
+    # the lattice, and held blocks are reused
+    n = BANDED_LATTICES[lattice][0].n
+    inside = reused = 0
+    for before, blocks in banded_jitter_steps(lattice, jitter_mag):
+        held = {id(P) for _, P in before.values() if P is not None}
+        keys = [key for key, _ in blocks.values()]
+        inside += all(0 < c0 and c1 < n for _, _, c0, c1, _ in keys)
+        reused += any(id(P) in held for _, P in blocks.values())
     assert inside > 0 and reused > 0
+
+
+def test_held_jitter_blocks_stay_within_the_budget(monkeypatch):
+    # room for one small block: the blocks left out are drawn again
+    budget = 8192
+    monkeypatch.setattr(attractor, "JITTER_HELD_BYTES", budget)
+    reused = left_out = 0
+    for t, (before, blocks) in enumerate(
+            banded_jitter_steps("41x41_block", 0.01)):
+        assert sum(P.nbytes for _, P in blocks.values()
+                   if P is not None) <= budget, t
+        held = {id(P) for _, P in before.values() if P is not None}
+        reused += any(id(P) in held for _, P in blocks.values())
+        # a repeated key whose block is not held was left out by the budget
+        left_out += any(P is None and before.get(y, (None,))[0] == key
+                        for y, (key, P) in blocks.items())
+    assert reused > 0 and left_out > 0
 
 
 def uncut_weights(state):

@@ -84,6 +84,37 @@ def test_pgm_encodes_spikes_blocked_and_activity():
     assert pix[4, 4] == 0
 
 
+def reference_pgm_pixels(spikes_e, activity, m):
+    """The float-image encoding pgm_bytes must reproduce byte for byte."""
+    img = np.zeros(m.n)
+    if activity is not None and activity.max() > 0:
+        img = np.maximum(img, activity / activity.max())
+    if spikes_e is not None:
+        img = np.maximum(img, spikes_e.astype(float))
+    pix = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
+    pix[m.blocked] = 128
+    return pix.tobytes()
+
+
+def test_pgm_bytes_match_the_float_image_encoding():
+    rng = np.random.default_rng(7)
+    for case in range(400):
+        nx, ny = rng.integers(3, 61, size=2)
+        walls = []
+        if case % 2:
+            x0, y0 = rng.integers(0, nx), rng.integers(0, ny)
+            walls = [(x0, y0, rng.integers(x0, nx), rng.integers(y0, ny))]
+        m = build_manifold(int(nx), int(ny), obstacles=walls)
+        spikes = rng.random(m.n) < rng.random() if case % 3 else None
+        # none, all zero, sparse, or dense at a random scale
+        activity = [None, np.zeros(m.n),
+                    rng.random(m.n) * (rng.random(m.n) < 0.3),
+                    rng.random(m.n) * 10.0 ** rng.integers(-12, 3)][case % 4]
+        header = f"P5\n{m.nx} {m.ny}\n255\n".encode("ascii")
+        assert pgm_bytes(spikes, activity, m) == (
+            header + reference_pgm_pixels(spikes, activity, m)), case
+
+
 def test_report_row_with_and_without_oracle():
     row = report_row(small_record(optimum=2.0))
     assert row == "demo,reached,2,1.0000,2.0000,0.5000,1"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wavenav.attractor import AttractorParams, bump_width
+from wavenav.attractor import AttractorParams
 from wavenav.manifold import build_manifold, euclidean_distance
 from wavenav.oracle import geometric_length
 from wavenav.planner import (CouplingParams, detect_overlap, direction_vector,
@@ -123,12 +123,15 @@ def test_displacement_per_front_bounded_by_half_width():
     m = build_manifold(41, 41)
     widths = []
 
-    def observer(t, wave, bump, spikes_e):
-        widths.append(bump_width(bump))
+    def write_frame(t, spikes_e, activity):
+        # the bump's width: the largest axis extent of its nonzero support
+        on = activity > 0.0
+        widths.append(max(np.ptp(m.xs[on]), np.ptp(m.ys[on])) + 1)
 
     result = run_planner(m, m.index(4, 4), m.index(36, 36),
                          attractor_params=AttractorParams(sigma=0.031),
-                         coupling=CouplingParams(hold=2), observer=observer)
+                         coupling=CouplingParams(hold=2),
+                         write_frame=write_frame)
     assert result.outcome == "reached"
     hits = [rec for rec in result.trajectory if rec.wavefront_hit]
     centers = {rec.t: rec.bump_center for rec in result.trajectory}

@@ -1,7 +1,8 @@
 """Frame files of a run: the look-ahead creator adds none and loses none.
 
-run_scenario creates frame files ahead of the run on a background
-thread (runner._FrameWriter). Whatever the run's end, it must leave
+run_scenario hands each frame to io.FrameWriter, which creates frame
+files ahead of the run on a background thread and names each one with
+io.frame_path. Whatever the run's end, it must leave
 exactly the frames it wrote, each complete, keep files it did not
 write, write every frame on the calling thread, and leave no thread.
 """
@@ -18,7 +19,8 @@ from wavenav import io as iomod
 from wavenav import runner
 from wavenav.cli import main
 from wavenav.config import parse_config
-from wavenav.runner import FRAME_LOOKAHEAD, run_scenario
+from wavenav.io import FRAME_LOOKAHEAD
+from wavenav.runner import run_scenario
 from wavenav.wave import NumericalError
 
 TINY = {
@@ -103,14 +105,14 @@ def test_existing_frames_past_the_end_keep_their_bytes(tmp_path):
 
 def test_no_thread_outlives_the_run(tmp_path, monkeypatch):
     # a creator slower than the run: it is still busy when the run ends
-    frame_path = runner._frame_path
+    frame_path = iomod.frame_path
 
     def slow_frame_path(out_dir, t):
         if threading.current_thread() is not threading.main_thread():
             time.sleep(0.002)
         return frame_path(out_dir, t)
 
-    monkeypatch.setattr(runner, "_frame_path", slow_frame_path)
+    monkeypatch.setattr(iomod, "frame_path", slow_frame_path)
     before = threading.enumerate()
     result, _ = run_scenario(tiny(), out_dir=str(tmp_path / "a"))
     assert threading.enumerate() == before

@@ -8,8 +8,7 @@ classical BFS/DFS oracle provides reference paths for comparison.
 """
 from .attractor import (AttractorParams, AttractorState, BumpLostError,
                         attractor_weight, bump_center, bump_footprint,
-                        bump_width, footprint_diameter, init_bump,
-                        step_attractor)
+                        footprint_diameter, init_bump, step_attractor)
 from .config import ConfigError, ScenarioConfig, load_config, parse_config
 from .manifold import (Manifold, build_manifold, euclidean_distance,
                        lattice_offsets)
@@ -26,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttractorParams", "AttractorState", "BumpLostError", "attractor_weight",
-    "bump_center", "bump_footprint", "bump_width", "footprint_diameter",
+    "bump_center", "bump_footprint", "footprint_diameter",
     "init_bump", "step_attractor",
     "ConfigError", "ScenarioConfig", "load_config", "parse_config",
     "Manifold", "build_manifold", "euclidean_distance", "lattice_offsets",

@@ -288,11 +288,6 @@ def footprint_diameter(state: AttractorState) -> int:
     return _extent(state.manifold, bump_footprint(state))
 
 
-def bump_width(state: AttractorState) -> int:
-    """Largest axis extent of the nonzero support, in nodes."""
-    return _extent(state.manifold, state.A > 0.0)
-
-
 def _extent(m: Manifold, mask: np.ndarray) -> int:
     xs, ys = m.xs[mask], m.ys[mask]
     return int(max(xs.max() - xs.min(), ys.max() - ys.min()) + 1)

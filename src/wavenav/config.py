@@ -157,6 +157,8 @@ def _json(text: str):
     except json.JSONDecodeError as e:
         raise ConfigError(
             f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise ConfigError("JSON nested too deeply") from e
 
 
 def parse_config(text: str, name: str = "scenario") -> ScenarioConfig:
@@ -215,6 +217,8 @@ def parse_config(text: str, name: str = "scenario") -> ScenarioConfig:
         raise ConfigError("output.directory must be a string")
     if not out_dir:
         raise ConfigError("output.directory must not be empty")
+    if "\0" in out_dir:
+        raise ConfigError("output.directory must not contain a NUL character")
 
     _check_size(nx, ny, synapse)
     try:
@@ -285,19 +289,24 @@ def apply_overrides(raw_text: str, overrides: list[str]) -> str:
     data = _json(raw_text)
     if not isinstance(data, dict):
         raise ConfigError("top level must be an object")
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not of the form key=value")
-        dotted, value = item.split("=", 1)
-        try:
-            parsed = json.loads(value)
-        except json.JSONDecodeError:
-            parsed = value
-        node = data
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"override {item!r} descends into a non-object")
-        node[parts[-1]] = parsed
-    return json.dumps(data)
+    # JSON nested to the interpreter's recursion limit fails in json.loads
+    # or, a level or two shallower, in json.dumps; neither is a bare string
+    try:
+        for item in overrides:
+            if "=" not in item:
+                raise ConfigError(f"override {item!r} is not of the form key=value")
+            dotted, value = item.split("=", 1)
+            try:
+                parsed = json.loads(value)
+            except json.JSONDecodeError:
+                parsed = value
+            node = data
+            parts = dotted.split(".")
+            for part in parts[:-1]:
+                node = node.setdefault(part, {})
+                if not isinstance(node, dict):
+                    raise ConfigError(f"override {item!r} descends into a non-object")
+            node[parts[-1]] = parsed
+        return json.dumps(data)
+    except RecursionError as e:
+        raise ConfigError("JSON nested too deeply") from e

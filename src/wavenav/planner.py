@@ -1,10 +1,10 @@
 """Couples the wave layer and the attractor bump into a path planner.
 
-Per step: advance the wave; if the recovery counter is zero and the
-bump footprint intersects this step's excitatory spikes, point the
-direction vector from the bump center at the overlap mean and start
-the recovery window; advance the attractor; expire the direction
-vector after `hold` steps; stop when the bump center is within
+Per step: advance the wave; unless a front hit the bump less than `R`
+steps ago, look for one: if the bump footprint intersects this step's
+excitatory spikes, point the direction vector from the bump center at
+the overlap mean; advance the attractor; the vector is held for `hold`
+steps (default `R`) and then reset; stop when the bump center is within
 `arrival_radius` of the target.
 """
 from __future__ import annotations
@@ -95,12 +95,6 @@ def run_planner(m: Manifold, start: int, target: int,
     attractor_params = attractor_params or AttractorParams()
     coupling = (coupling or CouplingParams()).validate()
 
-    if m.is_blocked(start):
-        raise ValueError("start node is blocked")
-    if m.is_blocked(target):
-        raise ValueError("target node is blocked")
-    if start == target:
-        raise ValueError("start equals target")
     if euclidean_distance(m, start, target) <= coupling.arrival_radius:
         raise ValueError("start lies within the arrival radius of the target")
 
@@ -109,9 +103,7 @@ def run_planner(m: Manifold, start: int, target: int,
     set_stimulus(wave, target, True)
 
     hold = coupling.resolved_hold()
-    recovery = 0
-    hold_left = 0
-    fronts = 0
+    last_hit = -coupling.R  # the step of the latest front hit
     trajectory: list[StepRecord] = []
     path: list[tuple[int, int]] = []
     outcome, lost = EXHAUSTED, None
@@ -121,32 +113,24 @@ def run_planner(m: Manifold, start: int, target: int,
         path.append(m.coords(start))
         for t in range(coupling.max_steps):
             spikes_e, _ = step_wave(wave, tables)
-            hit = False
             overlap_size = 0
-            if recovery == 0:
+            if t - last_hit >= coupling.R:
                 footprint = bump_footprint(bump)
                 overlap_size = int(np.count_nonzero(footprint & spikes_e))
                 mean = detect_overlap(footprint, spikes_e, m)
                 if mean is not None:
                     bump.set_delta(direction_vector(mean, bump_center(bump), m))
-                    recovery = coupling.R
-                    hold_left = hold
-                    fronts += 1
-                    hit = True
+                    last_hit = t
             delta_used = bump.delta
             step_attractor(bump)
-            if hold_left > 0:
-                hold_left -= 1
-                if hold_left == 0:
-                    bump.set_delta((0.0, 0.0))
-            if recovery > 0:
-                recovery -= 1
+            if t - last_hit == hold - 1:
+                bump.set_delta((0.0, 0.0))
             center = bump_center(bump)
             trajectory.append(StepRecord(
                 t=t, bump_center=center, delta=delta_used,
                 overlap_size=overlap_size,
                 excitatory_spike_count=int(np.count_nonzero(spikes_e)),
-                wavefront_hit=hit))
+                wavefront_hit=t == last_hit))
             cx, cy = m.coords(center)
             if (cx, cy) != path[-1]:
                 path.append((cx, cy))
@@ -159,7 +143,8 @@ def run_planner(m: Manifold, start: int, target: int,
         outcome, lost = BUMP_LOST, str(e)
 
     return PlanResult(outcome=outcome, trajectory=trajectory, path=path,
-                      wavefronts_used=fronts, lost=lost)
+                      wavefronts_used=sum(r.wavefront_hit for r in trajectory),
+                      lost=lost)
 
 
 def path_length(result: PlanResult) -> float:

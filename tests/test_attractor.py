@@ -11,7 +11,7 @@ from scipy import ndimage
 from wavenav import attractor
 from wavenav.attractor import (KERNEL_FLOOR, AttractorParams, AttractorState,
                                BumpLostError, attractor_weight, bump_center,
-                               bump_footprint, bump_width, count_components,
+                               bump_footprint, count_components,
                                footprint_diameter, init_bump, step_attractor)
 from wavenav.manifold import build_manifold
 
@@ -512,9 +512,3 @@ def test_jitter_is_seeded_and_small():
     assert np.array_equal(state.jitter_rows(0, 3), field[:3])
     assert np.array_equal(state.jitter_rows(200, 225, 30, 90),
                           field[200:225, 30:90])
-
-
-def test_bump_width_exceeds_footprint():
-    m = build_manifold(41, 41)
-    state = init_bump(m, m.index(20, 20), AttractorParams())
-    assert bump_width(state) >= footprint_diameter(state)

@@ -61,6 +61,14 @@ def test_config_error_exit_three(tmp_path, capsys):
     unknown = tmp_path / "unknown.cfg"
     unknown.write_text(json.dumps(dict(TINY, warp_speed=9)))
     assert main(["run", str(unknown)]) == 3
+    # nested past the recursion limit, in the file or in a --set value
+    deep = tmp_path / "deep.cfg"
+    deep.write_text("[" * 100_000)
+    assert main(["run", str(deep)]) == 3
+    assert "config error:" in capsys.readouterr().err
+    argv = ["run", write_cfg(tmp_path, "ok"), "--out", str(tmp_path / "o")]
+    assert main(argv + ["--set", "start=" + "[" * 100_000]) == 3
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_malformed_values_exit_three(tmp_path, capsys):

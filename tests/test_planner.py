@@ -101,6 +101,33 @@ def test_simple_traversal_invariants(simple_result):
     assert all(a != b for a, b in zip(result.path, result.path[1:]))
 
 
+def assert_coupling_windows(result, coupling):
+    """Hits at least R steps apart, each hit's delta held for `hold` steps."""
+    hits = [rec for rec in result.trajectory if rec.wavefront_hit]
+    assert hits
+    assert all(b.t - a.t >= coupling.R for a, b in zip(hits, hits[1:]))
+    held = {t: hit.delta for hit in hits
+            for t in range(hit.t, hit.t + coupling.resolved_hold())}
+    for rec in result.trajectory:
+        assert rec.delta == held.get(rec.t, (0.0, 0.0)), rec.t
+    assert result.wavefronts_used == len(hits)
+
+
+def test_refractory_and_hold_windows(simple_result):
+    cfg, result, _ = simple_result
+    assert cfg.coupling.resolved_hold() == 2 < cfg.coupling.R
+    assert_coupling_windows(result, cfg.coupling)
+    # hold left at its default, R: delta is held for the whole window
+    m = build_manifold(21, 21)
+    coupling = CouplingParams(max_steps=400)
+    assert coupling.hold is None
+    result = run_planner(m, m.index(2, 2), m.index(18, 18),
+                         attractor_params=AttractorParams(sigma=0.031),
+                         coupling=coupling)
+    assert result.wavefronts_used >= 2
+    assert_coupling_windows(result, coupling)
+
+
 def test_path_starts_at_configured_start(simple_result):
     cfg, result, _ = simple_result
     assert result.path[0] == cfg.start

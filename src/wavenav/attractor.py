@@ -124,13 +124,11 @@ class AttractorState:
                 g[g < KERNEL_FLOOR] = 0.0
         return self._g
 
-    def jitter_rows(self, lo: int, hi: int, c0: int = 0,
-                    c1: int | None = None) -> np.ndarray:
-        """Rows lo..hi-1, columns c0..c1-1 (default all n) of
+    def jitter_rows(self, lo: int, hi: int, c0: int, c1: int) -> np.ndarray:
+        """Rows lo..hi-1, columns c0..c1-1 of
         default_rng(jitter_seed).uniform(-1, 1, (n, n)), found by advancing
         the generator; the field is never stored."""
         n = self.manifold.n
-        c1 = n if c1 is None else c1
         U = np.empty((hi - lo, c1 - c0))
         self._rng.state = self._rng_start
         self._rng.advance(int(lo) * n + int(c0))
@@ -285,9 +283,6 @@ def bump_footprint(state: AttractorState) -> np.ndarray:
 
 def footprint_diameter(state: AttractorState) -> int:
     """Largest axis extent of the half-max footprint, in nodes."""
-    return _extent(state.manifold, bump_footprint(state))
-
-
-def _extent(m: Manifold, mask: np.ndarray) -> int:
-    xs, ys = m.xs[mask], m.ys[mask]
+    mask = bump_footprint(state)
+    xs, ys = state.manifold.xs[mask], state.manifold.ys[mask]
     return int(max(xs.max() - xs.min(), ys.max() - ys.min()) + 1)

@@ -12,10 +12,11 @@ shortcuts for the corresponding keys.
 
 Exit codes: 0 success or target reached, 2 step budget exhausted,
 3 configuration or usage error (also an output path that cannot be
-written), 4 numerical failure (bump lost, a warm-up that leaves no
-single bump, or non-finite neuron state). A sweep exits 0 if any of
-its runs succeeds; otherwise it exits with the highest code among its
-runs' outcomes (4 if any run lost the bump, else 2).
+written, or a write or close that fails, as on a full disk), 4
+numerical failure (bump lost, a warm-up that leaves no single bump, or
+non-finite neuron state). A sweep exits 0 if any of its runs succeeds;
+otherwise it exits with the highest code among its runs' outcomes (4
+if any run lost the bump, else 2).
 """
 from __future__ import annotations
 

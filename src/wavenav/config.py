@@ -74,10 +74,6 @@ class ScenarioConfig:
     # copies made with dataclasses.replace share it
     manifold: Manifold = field(repr=False, compare=False)
 
-    @property
-    def max_steps(self) -> int:
-        return self.coupling.max_steps
-
 
 def _reject_unknown(section: dict, allowed, where: str) -> None:
     for key in section:

@@ -7,6 +7,7 @@ encoded, written and created ahead of a run here alone.
 """
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 
@@ -50,22 +51,29 @@ def format_wave_log(spike_counts: list[int], record) -> str:
     return "\n".join(lines) + "\n"
 
 
+@contextlib.contextmanager
 def open_output(path: str, mode: str):
-    """Open output file `path` in binary `mode`; the one guard on outputs.
+    """Output file `path`, open in binary `mode` for a with-block; the one
+    guard on outputs.
 
     Its directory is made only when the open finds it missing: once per
-    run, at its first file. An OSError of either is a ConfigError (exit 3).
+    run, at its first file. An OSError from the open, from a write in the
+    block or from the close (a full disk) is a ConfigError (exit 3).
     """
     try:
         try:
-            return open(path, mode)
+            fh = open(path, mode)
         except (FileNotFoundError, NotADirectoryError):
             # makes a missing directory; where a file is in the way,
             # makedirs fails naming that file
             os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-            return open(path, mode)
+            fh = open(path, mode)
+        with fh:
+            yield fh
     except OSError as e:
-        raise ConfigError(f"cannot write {e.filename!r}: {e.strerror}") from e
+        # a failed write or close names no file
+        raise ConfigError(
+            f"cannot write {e.filename or path!r}: {e.strerror}") from e
 
 
 def write_text(path: str, text: str) -> None:

@@ -43,9 +43,6 @@ class Manifold:
     def is_blocked(self, node: int) -> bool:
         return bool(self.blocked[node])
 
-    def unblocked_count(self) -> int:
-        return int((~self.blocked).sum())
-
 
 def build_manifold(nx: int, ny: int, obstacles=()) -> Manifold:
     """Build a lattice, blocking every node covered by any rectangle.

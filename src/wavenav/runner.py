@@ -9,7 +9,6 @@ import numpy as np
 
 from . import io as iomod
 from .config import ConfigError, ScenarioConfig
-from .manifold import Manifold
 from .oracle import build_graph, geometric_length, shortest_path
 from .planner import path_length, run_planner
 from .wave import build_synapses, init_neurons, set_stimulus, step_wave
@@ -39,14 +38,15 @@ def _require_seed(cfg: ScenarioConfig) -> None:
         raise ConfigError("heterogeneous mode requires a seed (use --seed)")
 
 
-def run_wave_only(cfg: ScenarioConfig, m: Manifold, write_frame=None):
+def run_wave_only(cfg: ScenarioConfig, write_frame=None):
     """Run the wave layer alone; returns the excitatory spike count per step."""
+    m = cfg.manifold
     state = init_neurons(m, cfg.synapse)
     tables = build_synapses(m, cfg.synapse)
     for tx, ty in cfg.targets:
         set_stimulus(state, m.index(tx, ty), True)
     counts = []
-    for t in range(cfg.max_steps):
+    for t in range(cfg.coupling.max_steps):
         spikes_e, _ = step_wave(state, tables)
         counts.append(int(np.count_nonzero(spikes_e)))
         if write_frame is not None:
@@ -67,10 +67,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None):
     if out_dir is None and cfg.frame_stride:
         out_dir = cfg.out_dir
     frames: list[str] = []
-    with iomod.FrameWriter(out_dir, cfg.frame_stride, cfg.max_steps, m,
-                           frames) as write:
+    with iomod.FrameWriter(out_dir, cfg.frame_stride, cfg.coupling.max_steps,
+                           m, frames) as write:
         if cfg.start is None:
-            result = run_wave_only(cfg, m, write)
+            result = run_wave_only(cfg, write)
             record = ScenarioOutputs(cfg.name, WAVE_COMPLETED, len(result), 0,
                                      frames=frames)
         else:

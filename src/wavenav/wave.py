@@ -124,8 +124,9 @@ class WaveState:
     k < n belongs to the E neuron of node k, entry n + k to its I
     partner. `dc` (length n) is the direct current into each E neuron.
     Blocked nodes keep state entries but have no synapses and may not
-    be stimulated, so they never spike. `substeps`, `v_floor` and
-    `stim_dc` come from the validated SynapseConfig.
+    be stimulated, so they never spike. `cfg` is the validated
+    SynapseConfig the state was built from, the one record of its
+    `substeps`, `v_floor` and `stim_dc`.
     """
 
     def __init__(self, m: Manifold, a: np.ndarray, b: np.ndarray,
@@ -136,9 +137,7 @@ class WaveState:
         self.u = b * self.v
         self.dc = np.zeros(m.n)
         self.spikes = np.zeros(2 * m.n, dtype=bool)
-        self.substeps = cfg.substeps
-        self.v_floor = cfg.v_floor
-        self.stim_dc = cfg.stim_dc
+        self.cfg = cfg
         # synaptic input and Euler scratch, reused by every step
         self._in = np.empty(2 * m.n)
         self._dv = np.empty(2 * m.n)
@@ -172,10 +171,10 @@ def init_neurons(m: Manifold, cfg: SynapseConfig = SynapseConfig()) -> WaveState
 
 
 def set_stimulus(state: WaveState, node: int, on: bool) -> None:
-    """Toggle direct current `stim_dc` into the excitatory neuron at `node`."""
+    """Toggle direct current `cfg.stim_dc` into the excitatory neuron at `node`."""
     if state.manifold.is_blocked(node):
         raise ValueError(f"cannot stimulate blocked node {node}")
-    state.dc[node] = state.stim_dc if on else 0.0
+    state.dc[node] = state.cfg.stim_dc if on else 0.0
 
 
 def _check_finite(arr: np.ndarray, label: str, n: int) -> None:
@@ -215,10 +214,11 @@ def step_wave(state: WaveState, tables: SynapseTables):
     i_syn[:n] += _post_sums(tables.i_posts[fired[split:] - n], tables.ie, n)
 
     v, u, dv, t = state.v, state.u, state._dv, state._t
-    h = 1.0 / state.substeps
+    substeps, v_floor = state.cfg.substeps, state.cfg.v_floor
+    h = 1.0 / substeps
     # overflow surfaces as NumericalError below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(state.substeps):
+        for _ in range(substeps):
             # v += h * (0.04 * v * v + 5.0 * v + 140.0 - u + i_syn), the
             # same operations in the same order, without temporaries
             np.multiply(v, 0.04, out=dv)
@@ -236,8 +236,8 @@ def step_wave(state: WaveState, tables: SynapseTables):
             dv *= state.a
             dv *= h
             u += dv
-            if state.v_floor is not None:
-                np.maximum(v, state.v_floor, out=v)
+            if v_floor is not None:
+                np.maximum(v, v_floor, out=v)
 
     _check_finite(v, "v", n)
     _check_finite(u, "u", n)

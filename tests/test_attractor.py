@@ -508,7 +508,7 @@ def test_jitter_is_seeded_and_small():
     # the draws are the row-major n x n field of default_rng(jitter_seed)
     field = np.random.default_rng(5).uniform(-1.0, 1.0, (m.n, m.n))
     state = AttractorState(m, AttractorParams(jitter_seed=5))
-    assert np.array_equal(state.jitter_rows(200, 225), field[200:225])
-    assert np.array_equal(state.jitter_rows(0, 3), field[:3])
+    assert np.array_equal(state.jitter_rows(200, 225, 0, m.n), field[200:225])
+    assert np.array_equal(state.jitter_rows(0, 3, 0, m.n), field[:3])
     assert np.array_equal(state.jitter_rows(200, 225, 30, 90),
                           field[200:225, 30:90])

@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import warnings
@@ -6,6 +8,7 @@ import pytest
 from conftest import scenario_path
 
 from wavenav import config
+from wavenav import io as iomod
 from wavenav.cli import main
 
 TINY = {
@@ -220,6 +223,40 @@ def test_out_that_cannot_be_a_directory_exit_three(tmp_path, capsys):
     assert blocker.read_bytes() == b"not a directory"
     for name in ("trajectory.csv", "sweep.csv"):
         assert not any((taken / name).iterdir())
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_report_to_a_full_device_exit_three(tmp_path, capsys):
+    # the row fits the write buffer, so the failure comes at the close
+    assert main(["verify", scenario_path("simple"), "--out",
+                 str(tmp_path / "out"), "--max-steps", "5",
+                 "--report", "/dev/full"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cannot write '/dev/full'")
+    assert captured.err.count("\n") == 1
+
+
+def test_failed_close_of_the_trajectory_exit_three(tiny_cfg, tmp_path,
+                                                   monkeypatch, capsys):
+    class FullDisk(io.BytesIO):
+        def close(self):
+            if not self.closed:
+                super().close()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def fake_open(path, *args, **kwargs):
+        if os.path.basename(path) == "trajectory.csv":
+            return FullDisk()
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(iomod, "open", fake_open, raising=False)
+    out = tmp_path / "out"
+    assert main(["run", tiny_cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"config error: cannot write "
+                   f"{str(out / 'trajectory.csv')!r}: "
+                   f"{os.strerror(errno.ENOSPC)}\n")
 
 
 def test_heterogeneous_requires_seed(tmp_path, capsys):

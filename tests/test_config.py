@@ -21,7 +21,7 @@ def test_minimal_config_gets_all_defaults():
     assert (cfg.manifold.nx, cfg.manifold.ny) == (41, 41)
     assert cfg.start == (4, 4) and cfg.targets == [(36, 36)]
     assert cfg.synapse.mode == "homogeneous" and cfg.synapse.seed is None
-    assert cfg.max_steps == 1000
+    assert cfg.coupling.max_steps == 1000
     assert cfg.synapse.s_ee_max == 50.0
     assert cfg.synapse.d_e == 2.0 and cfg.synapse.d_i == 2.0
     assert cfg.synapse.substeps == 2 and cfg.synapse.v_floor == -90.0
@@ -29,7 +29,6 @@ def test_minimal_config_gets_all_defaults():
     assert cfg.attractor.J == 12.0 and cfg.attractor.sigma == 0.03
     assert cfg.attractor.T == 0.05
     assert cfg.coupling.R == 12 and cfg.coupling.arrival_radius == 2.0
-    assert cfg.coupling.max_steps == 1000
     assert cfg.frame_stride == 0 and cfg.out_dir == "out"
 
 
@@ -172,8 +171,6 @@ def test_max_steps_reaches_the_coupling_budget():
     raw["max_steps"] = 77
     cfg = parse_config(json.dumps(raw))
     assert cfg.coupling.max_steps == 77
-    cfg.coupling.max_steps = 5
-    assert cfg.max_steps == 5
 
 
 def test_heterogeneous_without_seed_fails_at_run_time():

@@ -111,18 +111,18 @@ def population_reference(state, tables, steps):
     v_e, u_e = state.v[:n].copy(), state.u[:n].copy()
     v_i, u_i = state.v[n:].copy(), state.u[n:].copy()
     se, si = state.spikes[:n].copy(), state.spikes[n:].copy()
-    h = 1.0 / state.substeps
+    h = 1.0 / state.cfg.substeps
     for _ in range(steps):
         fe, fi = se.astype(float), si.astype(float)
         i_e = state.dc + ee @ fe + ie @ fi
         i_i = ei @ fe
-        for _ in range(state.substeps):
+        for _ in range(state.cfg.substeps):
             v_e += h * (0.04 * v_e * v_e + 5.0 * v_e + 140.0 - u_e + i_e)
             u_e += h * (a_e * (b_e * v_e - u_e))
             v_i += h * (0.04 * v_i * v_i + 5.0 * v_i + 140.0 - u_i + i_i)
             u_i += h * (a_i * (b_i * v_i - u_i))
-            np.maximum(v_e, state.v_floor, out=v_e)
-            np.maximum(v_i, state.v_floor, out=v_i)
+            np.maximum(v_e, state.cfg.v_floor, out=v_e)
+            np.maximum(v_i, state.cfg.v_floor, out=v_i)
         se, si = v_e >= 30.0, v_i >= 30.0
         v_e[se] = c_e[se]
         u_e[se] += d_e[se]
@@ -352,7 +352,7 @@ def test_init_neurons_validates_its_config():
     with pytest.raises(ValueError, match="substeps"):
         init_neurons(m, SynapseConfig(substeps=0))
     state = init_neurons(m, SynapseConfig(substeps=3, v_floor=None, stim_dc=7.5))
-    assert (state.substeps, state.v_floor) == (3, None)
+    assert (state.cfg.substeps, state.cfg.v_floor) == (3, None)
     set_stimulus(state, m.index(2, 2), True)
     assert state.dc[m.index(2, 2)] == 7.5
 

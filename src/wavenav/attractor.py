@@ -27,7 +27,8 @@ from .manifold import Manifold
 # 2^-511: the product of two factor entries at or above it is a normal double
 KERNEL_FLOOR = math.sqrt(sys.float_info.min)
 # bytes of jitter blocks held from one step to the next, at most; they
-# peak at 0.5 MB on a 41x41 lattice but grow about as N^4 with its side
+# peak at 1.7 MB on block.cfg's 41x41 lattice (in warm-up's second step)
+# but grow about as N^4 with the lattice's side
 JITTER_HELD_BYTES = 16 << 20
 
 
@@ -249,21 +250,31 @@ def _add_jitter(state: AttractorState, B: np.ndarray, G: np.ndarray,
     blocks, held = {}, 0
     for y, x0, x1 in zip(ys.tolist(), x0s.tolist(), x1s.tolist()):
         lo = y * m.nx
-        key = (x0, x1, c0, c1, state.delta)
-        held_key, P = state._blocks.get(y, (None, None))
-        repeated = held_key == key
-        if P is None or not repeated:
-            P = state.jitter_rows(lo + x0, lo + x1, c0, c1)
+        # popped, so that a held block this step does not keep is freed
+        # before the next one is drawn
+        entry = state._blocks.pop(y, None)
+        key, P = entry or (None, None)
+        # an entry of a block depends only on (i, j, delta), so a held
+        # block whose window holds this one serves it as a slice
+        if P is not None and (key[0] <= x0 and x1 <= key[1] and key[2] <= c0
+                              and c1 <= key[3] and key[4] == state.delta):
+            chunk = P[x0 - key[0]:x1 - key[0], c0 - key[2]:c1 - key[2]]
+        else:
+            key = (x0, x1, c0, c1, state.delta)
+            P = chunk = state.jitter_rows(lo + x0, lo + x1, c0, c1)
             P *= ((p.J * gx[x0:x1, None, :]) * gy[y, ya:yb, None]
                   - p.T).reshape(len(P), c1 - c0)
-        # a block is held for the next step only once its key has repeated,
-        # so steps whose chunks keep moving (warm-up's first) hold nothing,
-        # and only within JITTER_HELD_BYTES; one left out is drawn again
-        keep = repeated and held + P.nbytes <= JITTER_HELD_BYTES
+        # a block is held from its row's second active step in a row, so
+        # warm-up's first step, with every row active, holds nothing, and
+        # only within JITTER_HELD_BYTES; one left out is drawn again
+        keep = entry is not None and held + P.nbytes <= JITTER_HELD_BYTES
         held += P.nbytes if keep else 0
         blocks[y] = (key, P if keep else None)
-        Z[:x1 - x0, c0:c1] = P
-        B += p.jitter_mag * (state.A[lo + x0:lo + x1] @ Z[:x1 - x0])
+        Z[:x1 - x0, c0:c1] = chunk
+        # outside the band the product is a zero and every column of B is
+        # below 0, so adding it there would change no bit
+        term = state.A[lo + x0:lo + x1] @ Z[:x1 - x0]
+        B[c0:c1] += p.jitter_mag * term[c0:c1]
     state._blocks = blocks
 
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from conftest import load_scenario
 from wavenav import attractor
 from wavenav.attractor import (KERNEL_FLOOR, AttractorParams, AttractorState,
                                BumpLostError, attractor_weight, bump_center,
@@ -166,10 +167,29 @@ BANDED_LATTICES = {
 }
 
 
+def jitter_windows(state):
+    """Per active lattice row y, the key (x0, x1, c0, c1, delta) of the
+    window the next step's jitter term covers there: the span of y's
+    nonzero A and the columns of the lattice rows where some column can
+    survive the clip."""
+    p, m = state.params, state.manifold
+    gx, gy = state.weights()
+    total = state.A.sum()
+    G = (gy.T @ state.A.reshape(m.ny, m.nx) @ gx).ravel()
+    reach = 2.0 * abs(p.jitter_mag) * (abs(p.J) * G + abs(p.T) * total)
+    live = ~(p.J * G - p.T * total + reach < 0.0).reshape(m.ny, m.nx).all(axis=1)
+    ya, yb = np.flatnonzero(live)[[0, -1]]
+    on = state.A.reshape(m.ny, m.nx) != 0.0
+    return {y: (int(row.argmax()), m.nx - int(row[::-1].argmax()),
+                int(ya) * m.nx, (int(yb) + 1) * m.nx, state.delta)
+            for y, row in enumerate(on) if row.any()}
+
+
 def banded_jitter_steps(lattice, jitter_mag):
     """Step a warmed jittered bump through the lattice's legs, asserting
     after each step that every bit of A matches the term over all n
-    columns; yields the held blocks from before and after the step."""
+    columns; yields the held blocks from before and after the step and
+    the step's jitter_windows."""
     m, start, deltas = BANDED_LATTICES[lattice]
     p = AttractorParams(sigma=0.031, jitter_seed=2, jitter_mag=jitter_mag)
     field = np.random.default_rng(p.jitter_seed).uniform(-1.0, 1.0, (m.n, m.n))
@@ -177,26 +197,42 @@ def banded_jitter_steps(lattice, jitter_mag):
     expected = state.A.copy()
     for t in range(10 * len(deltas)):
         state.set_delta(deltas[t // 10])
-        before = state._blocks
+        before = dict(state._blocks)
+        windows = jitter_windows(state)
         expected = reference_jitter_step(expected, state, field)
         step_attractor(state)
         assert np.array_equal(state.A, expected), t
-        yield before, state._blocks
+        yield before, state._blocks, windows
+
+
+def contains(key, window):
+    """Whether a held block's key serves the window: same delta, and the
+    window's span and band inside the key's."""
+    (hx0, hx1, hc0, hc1, hd), (x0, x1, c0, c1, d) = key, window
+    return hd == d and hx0 <= x0 and x1 <= hx1 and hc0 <= c0 and c1 <= hc1
 
 
 @pytest.mark.parametrize("jitter_mag", [0.01, 1e-9])
 @pytest.mark.parametrize("lattice", ["41x41_block", "29x19_obstacle"])
 def test_banded_jitter_is_bitwise_the_full_field(lattice, jitter_mag):
     # the jitter term is drawn over a band of lattice rows strictly inside
-    # the lattice, and held blocks are reused
+    # the lattice, and held blocks are reused, whole or as a slice of a
+    # block drawn over a wider window
     n = BANDED_LATTICES[lattice][0].n
-    inside = reused = 0
-    for before, blocks in banded_jitter_steps(lattice, jitter_mag):
+    inside = reused = sliced = 0
+    for before, blocks, windows in banded_jitter_steps(lattice, jitter_mag):
         held = {id(P) for _, P in before.values() if P is not None}
-        keys = [key for key, _ in blocks.values()]
-        inside += all(0 < c0 and c1 < n for _, _, c0, c1, _ in keys)
-        reused += any(id(P) in held for _, P in blocks.values())
-    assert inside > 0 and reused > 0
+        assert blocks.keys() == windows.keys()
+        for y, (key, P) in blocks.items():
+            if id(P) in held:
+                assert contains(key, windows[y])
+                reused += 1
+                sliced += key != windows[y]
+            else:
+                # a block drawn this step is keyed by the step's window
+                assert key == windows[y]
+        inside += all(0 < c0 and c1 < n for _, _, c0, c1, _ in windows.values())
+    assert inside > 0 and reused > 0 and sliced > 0
 
 
 def test_held_jitter_blocks_stay_within_the_budget(monkeypatch):
@@ -204,16 +240,29 @@ def test_held_jitter_blocks_stay_within_the_budget(monkeypatch):
     budget = 8192
     monkeypatch.setattr(attractor, "JITTER_HELD_BYTES", budget)
     reused = left_out = 0
-    for t, (before, blocks) in enumerate(
+    for t, (before, blocks, _) in enumerate(
             banded_jitter_steps("41x41_block", 0.01)):
         assert sum(P.nbytes for _, P in blocks.values()
                    if P is not None) <= budget, t
         held = {id(P) for _, P in before.values() if P is not None}
         reused += any(id(P) in held for _, P in blocks.values())
-        # a repeated key whose block is not held was left out by the budget
-        left_out += any(P is None and before.get(y, (None,))[0] == key
-                        for y, (key, P) in blocks.items())
+        # a row active the step before whose block is not held was left
+        # out by the budget
+        left_out += any(P is None and y in before
+                        for y, (_, P) in blocks.items())
     assert reused > 0 and left_out > 0
+
+
+def test_block_warmup_draws_the_field_rarely(monkeypatch):
+    # init_bump on block.cfg: held blocks serve the windows inside them,
+    # so its 50 steps draw 62 blocks, all in the first two steps
+    cfg = load_scenario("block")
+    calls = []
+    jitter_rows = AttractorState.jitter_rows
+    monkeypatch.setattr(AttractorState, "jitter_rows",
+                        lambda *args: calls.append(args) or jitter_rows(*args))
+    init_bump(cfg.manifold, cfg.manifold.index(*cfg.start), cfg.attractor)
+    assert 0 < len(calls) <= 80
 
 
 def uncut_weights(state):

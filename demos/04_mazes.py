@@ -21,6 +21,7 @@ for name in ("s_maze", "block", "complex"):
         cfg, out_dir=os.path.join("demo_out", "mazes", name))
     print(report_row(record))
 
-# the block maze is perfectly symmetric: without the tiny seeded
-# weight jitter the two wave fronts rounding the block would hit the
-# bump simultaneously forever, and the bump would sit still
+# the block maze is perfectly symmetric: the two wave fronts rounding
+# the block hit the bump together, and the planner aims at the nodes the
+# first front reached earliest on the side that holds the lowest node
+# index, so the bump passes the block on one side every run

@@ -4,10 +4,9 @@ Rate-coded units on the same lattice interact through a Gaussian
 weight profile in normalized coordinates. A direction vector delta
 biases the weights so that each update translates the bump; with
 delta = (0, 0) the bump is a fixed point. The profile factorises per
-axis, so an update is two small matrix products; a seeded jitter adds
-one term over the active units. Factor entries below KERNEL_FLOOR are
-exact zeros, which keeps the products out of gradual underflow and
-leaves every bit of A as it is (see AttractorState.weights).
+axis, so an update is two small matrix products. Factor entries below
+KERNEL_FLOOR are exact zeros, which keeps the products out of gradual
+underflow and leaves every bit of A as it is (see AttractorState.weights).
 
 Activity is renormalized to unit sum after every update. The raw
 update rule has a per-step gain well above 1 at the shipped
@@ -26,10 +25,6 @@ from .manifold import Manifold
 
 # 2^-511: the product of two factor entries at or above it is a normal double
 KERNEL_FLOOR = math.sqrt(sys.float_info.min)
-# bytes of jitter blocks held from one step to the next, at most; they
-# peak at 1.7 MB on block.cfg's 41x41 lattice (in warm-up's second step)
-# but grow about as N^4 with the lattice's side
-JITTER_HELD_BYTES = 16 << 20
 
 
 class BumpLostError(RuntimeError):
@@ -43,11 +38,9 @@ class AttractorParams:
     T: float = 0.05
     warmup: int = 50
     seed_radius: float = 6.0
-    jitter_seed: int | None = None
-    jitter_mag: float = 1e-9
 
     def validate(self) -> "AttractorParams":
-        for name in ("J", "sigma", "T", "seed_radius", "jitter_mag"):
+        for name in ("J", "sigma", "T", "seed_radius"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.sigma <= 0:
@@ -61,8 +54,6 @@ class AttractorParams:
                 "seed_radius is so small that its square underflows to 0")
         if self.warmup < 0:
             raise ValueError("warmup must be >= 0")
-        if self.jitter_seed is not None and self.jitter_seed < 0:
-            raise ValueError("jitter_seed must be >= 0")
         return self
 
 
@@ -89,12 +80,6 @@ class AttractorState:
         # pairwise normalized offsets per axis, pre -> post
         self._offsets = [(np.arange(k)[:, None] - np.arange(k)) / k
                          for k in (m.nx, m.ny)]
-        if p.jitter_seed is not None:
-            self._rng = np.random.default_rng(p.jitter_seed).bit_generator
-            self._rng_start = self._rng.state
-            self._random = np.random.Generator(self._rng).random
-            # per lattice row y: (key, jitter-weighted block or None)
-            self._blocks = {}
 
     def set_delta(self, delta) -> None:
         delta = (float(delta[0]), float(delta[1]))
@@ -110,10 +95,9 @@ class AttractorState:
         the CPU a microcode assist. Nothing that can survive the clip
         changes: all terms are >= 0, and with T > 0 a surviving column has
         G > T * sum(A) / J (about 4e-3 at the defaults), so the dropped
-        terms lie over 100 orders of magnitude below half an ulp of it. A
-        jitter weight J * gx * gy - T keeps its bits too, since
-        |J| * KERNEL_FLOOR is far below half an ulp of T. With T <= 0 no
-        column clips, and A's far tail may lose values below about 1e-150.
+        terms lie over 100 orders of magnitude below half an ulp of it.
+        With T <= 0 no column clips, and A's far tail may lose values below
+        about 1e-150.
         """
         if self._g is None:
             s2 = self.params.sigma * self.params.sigma
@@ -124,22 +108,6 @@ class AttractorState:
             for g in self._g:
                 g[g < KERNEL_FLOOR] = 0.0
         return self._g
-
-    def jitter_rows(self, lo: int, hi: int, c0: int, c1: int) -> np.ndarray:
-        """Rows lo..hi-1, columns c0..c1-1 of
-        default_rng(jitter_seed).uniform(-1, 1, (n, n)), found by advancing
-        the generator; the field is never stored."""
-        n = self.manifold.n
-        U = np.empty((hi - lo, c1 - c0))
-        self._rng.state = self._rng_start
-        self._rng.advance(int(lo) * n + int(c0))
-        for row in U:
-            self._random(out=row)
-            self._rng.advance(n - len(row))  # on to column c0 of the next row
-        # uniform(-1, 1) is -1 + 2 * random(), draw for draw and bit for bit
-        U *= 2.0
-        U -= 1.0
-        return U
 
 
 def init_bump(m: Manifold, start: int, p: AttractorParams) -> AttractorState:
@@ -160,37 +128,43 @@ def init_bump(m: Manifold, start: int, p: AttractorParams) -> AttractorState:
     state.A = A / A.sum()
     for _ in range(p.warmup):
         step_attractor(state)
-    count = count_components(bump_footprint(state).reshape(m.ny, m.nx))
+    count = len(components(bump_footprint(state).reshape(m.ny, m.nx)))
     if count != 1:
         raise BumpLostError(
             f"bump warm-up did not converge to a single component (got {count})")
     return state
 
 
-def count_components(mask: np.ndarray) -> int:
-    """Number of 8-connected components of a 2-D boolean mask.
+def components(mask: np.ndarray) -> list[np.ndarray]:
+    """The 8-connected components of a 2-D boolean mask, each as the
+    sorted row-major indices of its nodes, in order of their lowest index.
 
     A flood fill over the mask's nodes only, numbered row-major in rows
     one wider than the mask: that gap column keeps a row's last node
-    from touching the next row's first. A footprint holds tens to a few
-    hundred nodes, so a count costs well under a millisecond.
+    from touching the next row's first. Each fill starts at the lowest
+    node not yet taken. A footprint holds tens to a few hundred nodes,
+    so a fill costs well under a millisecond.
     """
     w = mask.shape[1] + 1
     ys, xs = np.nonzero(mask)
-    left = set((ys * w + xs).tolist())
+    keys = (ys * w + xs).tolist()
+    left = set(keys)
     steps = (-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1)
-    count = 0
-    while left:
-        count += 1
-        stack = [left.pop()]
-        while stack:
-            k = stack.pop()
+    parts = []
+    for seed in keys:
+        if seed not in left:
+            continue
+        left.remove(seed)
+        part = [seed]
+        for k in part:  # grows as the fill reaches new nodes
             for s in steps:
                 j = k + s
                 if j in left:
                     left.remove(j)
-                    stack.append(j)
-    return count
+                    part.append(j)
+        part = np.sort(part)
+        parts.append(part - part // w)  # y * w + x to y * nx + x
+    return parts
 
 
 def step_attractor(state: AttractorState) -> AttractorState:
@@ -202,10 +176,7 @@ def step_attractor(state: AttractorState) -> AttractorState:
     p, m = state.params, state.manifold
     gx, gy = state.weights()
     G = (gy.T @ state.A.reshape(m.ny, m.nx) @ gx).ravel()
-    B = p.J * G - p.T * total
-    if p.jitter_seed is not None:
-        _add_jitter(state, B, G, total, gx, gy)
-    A = np.maximum(B, 0.0)
+    A = np.maximum(p.J * G - p.T * total, 0.0)
     A[m.blocked] = 0.0
     with np.errstate(over="ignore"):
         total = A.sum()
@@ -215,67 +186,6 @@ def step_attractor(state: AttractorState) -> AttractorState:
         raise BumpLostError("activity vanished after update")
     state.A = A / total
     return state
-
-
-def _add_jitter(state: AttractorState, B: np.ndarray, G: np.ndarray,
-                total: float, gx: np.ndarray, gy: np.ndarray) -> None:
-    """Add W[i, j] * jitter_mag * U[i, j] over the active pre-units i to B,
-    bit for bit as over all n columns, but only where it can survive the clip.
-
-    With A >= 0 (every step leaves it so), |U| <= 1 and gx * gy >= 0, the
-    term adds at most |jitter_mag| * (|J| * G[j] + |T| * sum(A)) to column
-    j. A column that stays below 0 even with twice that (2 covers rounding)
-    clips to exactly 0 with or without the term. The others lie in a band
-    of lattice rows, columns c0..c1-1, and only that band is drawn.
-    """
-    p, m = state.params, state.manifold
-    reach = 2.0 * abs(p.jitter_mag) * (abs(p.J) * G + abs(p.T) * total)
-    rows = np.flatnonzero(~(B + reach < 0.0).reshape(m.ny, m.nx).all(axis=1))
-    if not rows.size:
-        return  # nothing survives: the step loses the bump either way
-    ya, yb = int(rows[0]), int(rows[-1]) + 1
-    c0, c1 = ya * m.nx, yb * m.nx
-    # one lattice row y of active units at a time, x0..x1-1 the span of
-    # its nonzero A; row i of W is the outer product of gy[y] and J * gx[xi],
-    # less T, flattened row-major
-    on = (state.A != 0.0).reshape(m.ny, m.nx)
-    ys = np.flatnonzero(on.any(axis=1))
-    x0s = on[ys].argmax(axis=1)
-    x1s = m.nx - on[ys, ::-1].argmax(axis=1)
-    # the product stays n wide, zero outside the band, so that BLAS sums
-    # each band column as it does over the full field; a product over the
-    # band columns alone can round differently. Every chunk writes the
-    # same columns, so one zeroed buffer serves the whole step.
-    Z = np.zeros((int((x1s - x0s).max()), m.n))
-    blocks, held = {}, 0
-    for y, x0, x1 in zip(ys.tolist(), x0s.tolist(), x1s.tolist()):
-        lo = y * m.nx
-        # popped, so that a held block this step does not keep is freed
-        # before the next one is drawn
-        entry = state._blocks.pop(y, None)
-        key, P = entry or (None, None)
-        # an entry of a block depends only on (i, j, delta), so a held
-        # block whose window holds this one serves it as a slice
-        if P is not None and (key[0] <= x0 and x1 <= key[1] and key[2] <= c0
-                              and c1 <= key[3] and key[4] == state.delta):
-            chunk = P[x0 - key[0]:x1 - key[0], c0 - key[2]:c1 - key[2]]
-        else:
-            key = (x0, x1, c0, c1, state.delta)
-            P = chunk = state.jitter_rows(lo + x0, lo + x1, c0, c1)
-            P *= ((p.J * gx[x0:x1, None, :]) * gy[y, ya:yb, None]
-                  - p.T).reshape(len(P), c1 - c0)
-        # a block is held from its row's second active step in a row, so
-        # warm-up's first step, with every row active, holds nothing, and
-        # only within JITTER_HELD_BYTES; one left out is drawn again
-        keep = entry is not None and held + P.nbytes <= JITTER_HELD_BYTES
-        held += P.nbytes if keep else 0
-        blocks[y] = (key, P if keep else None)
-        Z[:x1 - x0, c0:c1] = chunk
-        # outside the band the product is a zero and every column of B is
-        # below 0, so adding it there would change no bit
-        term = state.A[lo + x0:lo + x1] @ Z[:x1 - x0]
-        B[c0:c1] += p.jitter_mag * term[c0:c1]
-    state._blocks = blocks
 
 
 def bump_center(state: AttractorState) -> int:

@@ -1,11 +1,16 @@
 """Couples the wave layer and the attractor bump into a path planner.
 
-Per step: advance the wave; unless a front hit the bump less than `R`
-steps ago, look for one: if the bump footprint intersects this step's
-excitatory spikes, point the direction vector from the bump center at
-the overlap mean; advance the attractor; the vector is held for `hold`
-steps (default `R`) and then reset; stop when the bump center is within
-`arrival_radius` of the target.
+Per step: advance the wave and note the step at which each node first
+spiked; unless a front hit the bump less than `R` steps ago, look for
+one: if the bump footprint intersects this step's excitatory spikes,
+point the direction vector from the bump center at the footprint nodes
+the first front reached earliest; advance the attractor; the vector is
+held for `hold` steps (default `R`) and then reset; stop when the bump
+center is within `arrival_radius` of the target.
+
+Aiming by the first front's arrival map, not by the live overlap,
+departs from the source paper and follows Ponulak & Hopfield (2013). It
+breaks a symmetric maze's mirror tie by node index, without noise.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attractor import (AttractorParams, BumpLostError, bump_center,
-                        bump_footprint, init_bump, step_attractor)
+                        bump_footprint, components, init_bump, step_attractor)
 from .manifold import Manifold, euclidean_distance, route_length
 from .wave import (SynapseConfig, build_synapses, init_neurons, set_stimulus,
                    step_wave)
@@ -67,12 +72,19 @@ class PlanResult:
     lost: str | None = None  # why the bump was lost, with outcome BUMP_LOST
 
 
-def detect_overlap(c_mask: np.ndarray, p_mask: np.ndarray, m: Manifold):
-    """Mean (x, y) of the footprint/front intersection, or None."""
-    both = c_mask & p_mask
-    if not both.any():
+def detect_overlap(c_mask: np.ndarray, p_mask: np.ndarray,
+                   first: np.ndarray, m: Manifold):
+    """Mean (x, y) a front hit aims at, or None if the footprint `c_mask`
+    and the front `p_mask` do not meet: the footprint nodes with the
+    earliest first-spike step in `first` (-1 before one), and of several
+    8-connected groups of them the group that holds the lowest node index.
+    """
+    if not (c_mask & p_mask).any():
         return None
-    return float(m.xs[both].mean()), float(m.ys[both].mean())
+    reached = c_mask & (first >= 0)
+    earliest = reached & (first == first[reached].min())
+    nodes = components(earliest.reshape(m.ny, m.nx))[0]
+    return float(m.xs[nodes].mean()), float(m.ys[nodes].mean())
 
 
 def direction_vector(mean_overlap, center: int, m: Manifold):
@@ -104,6 +116,7 @@ def run_planner(m: Manifold, start: int, target: int,
 
     hold = coupling.resolved_hold()
     last_hit = -coupling.R  # the step of the latest front hit
+    first = np.full(m.n, -1, dtype=np.int32)  # first E-spike step per node
     trajectory: list[StepRecord] = []
     path: list[tuple[int, int]] = []
     outcome, lost = EXHAUSTED, None
@@ -113,11 +126,13 @@ def run_planner(m: Manifold, start: int, target: int,
         path.append(m.coords(start))
         for t in range(coupling.max_steps):
             spikes_e, _ = step_wave(wave, tables)
+            fired = np.flatnonzero(spikes_e)
+            first[fired[first[fired] < 0]] = t
             overlap_size = 0
             if t - last_hit >= coupling.R:
                 footprint = bump_footprint(bump)
                 overlap_size = int(np.count_nonzero(footprint & spikes_e))
-                mean = detect_overlap(footprint, spikes_e, m)
+                mean = detect_overlap(footprint, spikes_e, first, m)
                 if mean is not None:
                     bump.set_delta(direction_vector(mean, bump_center(bump), m))
                     last_hit = t

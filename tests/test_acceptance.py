@@ -16,7 +16,7 @@ from wavenav.attractor import (AttractorParams, bump_center,
                                footprint_diameter, init_bump, step_attractor)
 from wavenav.manifold import build_manifold, euclidean_distance
 from wavenav.oracle import FIFO, LIFO, traverse
-from wavenav.planner import path_length
+from wavenav.planner import path_length, run_planner
 from wavenav.runner import run_scenario
 from wavenav.wave import build_synapses, init_neurons, set_stimulus, step_wave
 
@@ -138,6 +138,19 @@ def test_criterion_5_heterogeneous_robustness(maze_results):
             reached_steps.append(len(result.trajectory))
     assert len(reached_steps) >= 8
     assert statistics.median(reached_steps) <= baseline
+
+
+def test_heterogeneous_block_reaches_at_every_seed():
+    # seeds 0..39 of block_heterogeneous; about 1 s
+    missed = []
+    for seed in range(40):
+        cfg = load_scenario("block_heterogeneous", seed=seed)
+        m = cfg.manifold
+        result = run_planner(m, m.index(*cfg.start), m.index(*cfg.targets[0]),
+                             cfg.synapse, cfg.attractor, cfg.coupling)
+        if result.outcome != "reached":
+            missed.append((seed, result.outcome))
+    assert not missed
 
 
 def test_criterion_6_attractor_stability():

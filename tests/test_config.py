@@ -129,7 +129,8 @@ def test_invalid_parameter_combinations():
     ("grid", 5, "grid must be an object"),
     ("synapse", 3, "synapse must be an object"),
     ("seed", -1, "seed must be >= 0"),
-    ("attractor", {"jitter_seed": -1}, "attractor: jitter_seed must be >= 0"),
+    # old scenarios' jitter keys fail loudly
+    ("attractor", {"jitter_seed": -1}, "unknown key 'jitter_seed' in 'attractor'"),
     ("start", [36, 36], "start lies within coupling.arrival_radius"),
     ("start", [35, 35], "start lies within coupling.arrival_radius"),
     ("coupling", {"arrival_radius": 1e300}, "start lies within"),
@@ -142,6 +143,7 @@ def test_invalid_parameter_combinations():
     ("target", [36, True], r"target\[1\] must be a number"),
     ("obstacles", [[False, 8, True, 9]], r"obstacles\[0\]\[0\] must be a number"),
     ("output", {"directory": "a\u0000b"}, "output.directory must not .* NUL"),
+    ("attractor", {"jitter_mag": 0.01}, "unknown key 'jitter_mag' in 'attractor'"),
 ])
 def test_malformed_values_are_config_errors(key, value, match):
     raw = json.loads(MINIMAL)

@@ -17,14 +17,34 @@ def mask_of(m, coords):
     return mask
 
 
+def first_of(m, steps):
+    """First-spike steps: -1, except the given {(x, y): step}."""
+    first = np.full(m.n, -1, dtype=np.int32)
+    for (x, y), t in steps.items():
+        first[m.index(x, y)] = t
+    return first
+
+
 def test_detect_overlap_examples():
     m = build_manifold(41, 41)
     c = mask_of(m, [(10, 10), (11, 10)])
     p = mask_of(m, [(11, 10), (12, 10)])
-    assert detect_overlap(c, p, m) == (11.0, 10.0)
-    assert detect_overlap(c, mask_of(m, [(30, 30)]), m) is None
-    both = mask_of(m, [(3, 4), (5, 4)])
-    assert detect_overlap(both, both, m) == (4.0, 4.0)
+    first = first_of(m, {(11, 10): 7, (12, 10): 7})
+    assert detect_overlap(c, p, first, m) == (11.0, 10.0)
+    assert detect_overlap(c, mask_of(m, [(30, 30)]), first, m) is None
+    # the aim is the footprint's earliest arrivals, not the live overlap
+    first = first_of(m, {(10, 10): 3, (11, 10): 7, (12, 10): 7})
+    assert detect_overlap(c, p, first, m) == (10.0, 10.0)
+    both = mask_of(m, [(3, 4), (4, 4), (5, 4)])
+    first = first_of(m, {(3, 4): 5, (4, 4): 5, (5, 4): 5})
+    assert detect_overlap(both, both, first, m) == (4.0, 4.0)
+    # a mirror tie: two equal earliest groups on either side of a block;
+    # the aim goes to the one that holds the lowest node index
+    c = mask_of(m, [(x, y) for x in range(17, 24) for y in range(10, 17)])
+    p = mask_of(m, [(20, 10), (21, 10), (20, 16), (21, 16)])
+    first = first_of(m, {(20, 10): 40, (21, 10): 40, (20, 16): 40,
+                         (21, 16): 40, (19, 13): 50})
+    assert detect_overlap(c, p, first, m) == (20.5, 10.0)
 
 
 def test_direction_vector_examples():
@@ -169,20 +189,20 @@ def test_displacement_per_front_bounded_by_half_width():
         assert moved <= 0.5 * widths[a.t] + 1e-9
 
 
-def test_block_maze_tie_break_depends_on_jitter_seed():
+def test_block_maze_tie_break_is_deterministic():
+    # the block maze is mirror-symmetric; the readout breaks the tie by
+    # node index, so both directions, run twice each, pass the same side
     m = build_manifold(41, 41, obstacles=[(14, 14, 26, 26)])
-    sides = {}
-    for jitter_seed in (2, 5):
-        p = AttractorParams(sigma=0.031, jitter_seed=jitter_seed,
-                            jitter_mag=0.01)
-        result = run_planner(m, m.index(4, 20), m.index(36, 20),
-                             attractor_params=p,
+    sides = set()
+    for start, target in [((4, 20), (36, 20)), ((36, 20), (4, 20))] * 2:
+        result = run_planner(m, m.index(*start), m.index(*target),
+                             attractor_params=AttractorParams(sigma=0.031),
                              coupling=CouplingParams(hold=2, max_steps=1500))
         assert result.outcome == "reached"
         ys = [y for x, y in result.path if 15 <= x <= 25]
         assert max(ys) < 14 or min(ys) > 26, "path must clear the block"
-        sides[jitter_seed] = "above" if max(ys) < 14 else "below"
-    assert sides[2] != sides[5]
+        sides.add("above" if max(ys) < 14 else "below")
+    assert len(sides) == 1
 
 
 def test_bump_lost_outcome():

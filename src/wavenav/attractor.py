@@ -31,7 +31,7 @@ class BumpLostError(RuntimeError):
     """Total activity reached zero; the bump cannot be recovered."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttractorParams:
     J: float = 12.0
     sigma: float = 0.03
@@ -39,7 +39,7 @@ class AttractorParams:
     warmup: int = 50
     seed_radius: float = 6.0
 
-    def validate(self) -> "AttractorParams":
+    def __post_init__(self):
         for name in ("J", "sigma", "T", "seed_radius"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -54,7 +54,6 @@ class AttractorParams:
                 "seed_radius is so small that its square underflows to 0")
         if self.warmup < 0:
             raise ValueError("warmup must be >= 0")
-        return self
 
 
 def attractor_weight(i: int, j: int, delta, p: AttractorParams,
@@ -71,7 +70,6 @@ class AttractorState:
     """Activity field A, direction vector delta and per-axis kernel factors."""
 
     def __init__(self, m: Manifold, p: AttractorParams):
-        p.validate()
         self.manifold = m
         self.params = p
         self.A = np.zeros(m.n)

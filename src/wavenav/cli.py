@@ -155,7 +155,8 @@ def _cmd_sweep(args) -> int:
         cfg = dataclasses.replace(
             base, synapse=dataclasses.replace(base.synapse, seed=seed))
         _, record = run_scenario(cfg, out_dir=os.path.join(out_root, f"seed_{seed}"))
-        rows.append(f"{record.name},{seed},{record.outcome},{record.steps}")
+        rows.append(f"{iomod.csv_field(record.name)},{seed},{record.outcome},"
+                    f"{record.steps}")
         if record.outcome == success:
             done_steps.append(record.steps)
         print(f"seed {seed}: {record.outcome} ({record.steps} steps)")

@@ -17,7 +17,7 @@ Grammar (all sections optional unless noted):
     }
 
 A section's keys, their types and their defaults are those of its
-dataclass; its `validate` checks their ranges. mode and seed are
+dataclass, which checks their ranges when built. mode and seed are
 SynapseConfig fields and max_steps a CouplingParams field, read from
 the top level. Numbers must be finite.
 Unknown keys anywhere are rejected. Multi-node "target" is only valid
@@ -129,7 +129,7 @@ def _typed(value, hint, where: str):
 
 
 def _params(raw: dict, key: str, cls, top_level: tuple = ()):
-    """Build dataclass `cls` from section raw[key] and validate it.
+    """Build dataclass `cls` from raw[key]; a value out of range is a ConfigError.
 
     The section accepts exactly the fields of `cls`, except those named
     in `top_level`, which are read from the top level instead. Omitted
@@ -142,7 +142,7 @@ def _params(raw: dict, key: str, cls, top_level: tuple = ()):
     given.update((name, _typed(raw[name], hints[name], name))
                  for name in top_level if name in raw)
     try:
-        return cls(**given).validate()
+        return cls(**given)
     except ValueError as e:
         raise ConfigError(f"{key}: {e}") from e
 

@@ -178,11 +178,17 @@ class FrameWriter:
                 os.unlink(path)
 
 
+def csv_field(text: str) -> str:
+    """`text` as one CSV field, quoted (RFC 4180) only if it holds , " CR or LF."""
+    quote = any(c in text for c in ',"\r\n')
+    return '"' + text.replace('"', '""') + '"' if quote else text
+
+
 def report_row(record) -> str:
     """One verification row: a run's record against the BFS oracle."""
     plen, optimum = record.path_length, record.optimum
     versus = ("", "", "")
     if plen is not None and optimum:
         versus = (f"{plen:.4f}", f"{optimum:.4f}", f"{plen / optimum:.4f}")
-    return ",".join((record.name, record.outcome, str(record.steps), *versus,
-                     str(record.wavefronts)))
+    return ",".join((csv_field(record.name), record.outcome,
+                     str(record.steps), *versus, str(record.wavefronts)))

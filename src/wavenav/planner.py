@@ -29,7 +29,7 @@ EXHAUSTED = "step_budget_exhausted"
 BUMP_LOST = "bump_lost"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CouplingParams:
     R: int = 12
     hold: int | None = None  # defaults to R
@@ -39,7 +39,7 @@ class CouplingParams:
     def resolved_hold(self) -> int:
         return self.R if self.hold is None else self.hold
 
-    def validate(self) -> "CouplingParams":
+    def __post_init__(self):
         if self.R < 1:
             raise ValueError("R must be >= 1")
         if self.resolved_hold() > self.R:
@@ -50,7 +50,6 @@ class CouplingParams:
             raise ValueError("arrival_radius must be >= 1")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        return self
 
 
 @dataclass
@@ -94,19 +93,15 @@ def direction_vector(mean_overlap, center: int, m: Manifold):
 
 
 def run_planner(m: Manifold, start: int, target: int,
-                synapse_cfg: SynapseConfig | None = None,
-                attractor_params: AttractorParams | None = None,
-                coupling: CouplingParams | None = None,
+                synapse_cfg: SynapseConfig = SynapseConfig(),
+                attractor_params: AttractorParams = AttractorParams(),
+                coupling: CouplingParams = CouplingParams(),
                 write_frame=None) -> PlanResult:
     """Run the coupled simulation from `start` toward `target`.
 
     `write_frame(t, spikes_e, activity)`, run_wave_only's hook too, gets
     each step's spikes and the bump's activity A once both layers advanced.
     """
-    synapse_cfg = synapse_cfg or SynapseConfig()
-    attractor_params = attractor_params or AttractorParams()
-    coupling = (coupling or CouplingParams()).validate()
-
     if euclidean_distance(m, start, target) <= coupling.arrival_radius:
         raise ValueError("start lies within the arrival radius of the target")
 
@@ -144,7 +139,7 @@ def run_planner(m: Manifold, start: int, target: int,
             trajectory.append(StepRecord(
                 t=t, bump_center=center, delta=delta_used,
                 overlap_size=overlap_size,
-                excitatory_spike_count=int(np.count_nonzero(spikes_e)),
+                excitatory_spike_count=len(fired),
                 wavefront_hit=t == last_hit))
             cx, cy = m.coords(center)
             if (cx, cy) != path[-1]:

@@ -53,12 +53,12 @@ class SynapseConfig:
     d_i: float = 2.0
     metric: str = "manhattan"
     substeps: int = 2
-    v_floor: float | None = -90.0
+    v_floor: float = -90.0
     stim_dc: float = 25.0
     mode: str = "homogeneous"
     seed: int | None = None
 
-    def validate(self) -> "SynapseConfig":
+    def __post_init__(self):
         if self.s_ee_max <= 0 or self.s_ei_max <= 0:
             raise ValueError("excitatory strengths must be positive")
         if self.s_ie_max >= 0:
@@ -74,7 +74,6 @@ class SynapseConfig:
                 f"mode must be homogeneous or heterogeneous, got {self.mode!r}")
         if self.seed is not None and self.seed < 0:
             raise ValueError("seed must be >= 0")
-        return self
 
 
 @dataclass
@@ -99,7 +98,6 @@ class SynapseTables:
 
 def build_synapses(m: Manifold, cfg: SynapseConfig = SynapseConfig()) -> SynapseTables:
     """Both kernels from one fan-out table; blocked nodes get no entries."""
-    cfg.validate()
     posts, dists = fan_out(m, max(cfg.d_e, cfg.d_i), cfg.metric)
     e_cols, i_cols = within(dists, cfg.d_e), within(dists, cfg.d_i)
     # one fancy index makes an F-ordered copy; the i table goes in row blocks
@@ -124,9 +122,9 @@ class WaveState:
     k < n belongs to the E neuron of node k, entry n + k to its I
     partner. `dc` (length n) is the direct current into each E neuron.
     Blocked nodes keep state entries but have no synapses and may not
-    be stimulated, so they never spike. `cfg` is the validated
-    SynapseConfig the state was built from, the one record of its
-    `substeps`, `v_floor` and `stim_dc`.
+    be stimulated, so they never spike. `cfg` is the SynapseConfig the
+    state was built from, the one record of its `substeps`, `v_floor`
+    (the floor every substep clamps all 2n membranes to) and `stim_dc`.
     """
 
     def __init__(self, m: Manifold, a: np.ndarray, b: np.ndarray,
@@ -155,7 +153,6 @@ def init_neurons(m: Manifold, cfg: SynapseConfig = SynapseConfig()) -> WaveState
     pair r_e = 0, r_i = 1; heterogeneous mode draws r_e, then r_i, from
     `default_rng(cfg.seed)`.
     """
-    cfg.validate()
     n = m.n
     if cfg.mode == "homogeneous":
         r_e, r_i = np.zeros(n), np.ones(n)
@@ -236,8 +233,7 @@ def step_wave(state: WaveState, tables: SynapseTables):
             dv *= state.a
             dv *= h
             u += dv
-            if v_floor is not None:
-                np.maximum(v, v_floor, out=v)
+            np.maximum(v, v_floor, out=v)
 
     _check_finite(v, "v", n)
     _check_finite(u, "u", n)

@@ -182,15 +182,15 @@ def test_memory_grows_with_the_axes_not_the_node_count():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        AttractorParams(sigma=0.0).validate()
+        AttractorParams(sigma=0.0)
     with pytest.raises(ValueError):
-        AttractorParams(seed_radius=0.0).validate()
+        AttractorParams(seed_radius=0.0)
     with pytest.raises(ValueError):
-        AttractorParams(J=float("nan")).validate()
+        AttractorParams(J=float("nan"))
     with pytest.raises(ValueError):
-        AttractorParams(warmup=-1).validate()
+        AttractorParams(warmup=-1)
     with pytest.raises(ValueError):
-        AttractorParams(seed_radius=1e-170).validate()
+        AttractorParams(seed_radius=1e-170)
 
 
 def test_tiny_sigma_is_a_one_node_kernel_without_warnings():

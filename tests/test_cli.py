@@ -1,7 +1,9 @@
+import csv
 import errno
 import io
 import json
 import os
+import shutil
 import warnings
 
 import pytest
@@ -359,6 +361,25 @@ def test_wave_only_sweep_counts_completed_runs(tmp_path, capsys):
     with open(os.path.join(out, "sweep.csv")) as fh:
         assert fh.read().splitlines()[1:] == [
             "two_sources,0,completed,20", "two_sources,1,completed,20"]
+
+
+def test_scenario_name_with_a_comma_stays_one_csv_field(tmp_path, capsys):
+    cfg = tmp_path / "a,b.cfg"
+    shutil.copy(scenario_path("simple"), cfg)
+    out = str(tmp_path / "out")
+    args = [str(cfg), "--max-steps", "20", "--out", out]
+    assert main(["verify", *args]) == 2
+    assert main(["sweep", *args, "--seeds", "0..1"]) == 2
+    assert '"a,b",step_budget_exhausted,20,' in capsys.readouterr().out
+    for name, rows in (("report.csv", 1), ("sweep.csv", 2)):
+        with open(os.path.join(out, name), newline="") as fh:
+            read = list(csv.DictReader(fh))
+        assert len(read) == rows
+        for row in read:
+            assert row["scenario"] == "a,b"
+            assert row["outcome"] == "step_budget_exhausted"
+            assert row["steps"] == "20"
+            assert None not in row  # no field spilled past the header
 
 
 def test_sweep_rejects_bad_ranges(tiny_cfg, capsys):

@@ -144,6 +144,8 @@ def test_invalid_parameter_combinations():
     ("obstacles", [[False, 8, True, 9]], r"obstacles\[0\]\[0\] must be a number"),
     ("output", {"directory": "a\u0000b"}, "output.directory must not .* NUL"),
     ("attractor", {"jitter_mag": 0.01}, "unknown key 'jitter_mag' in 'attractor'"),
+    # the floor is always on
+    ("synapse", {"v_floor": None}, "synapse.v_floor must be a number"),
 ])
 def test_malformed_values_are_config_errors(key, value, match):
     raw = json.loads(MINIMAL)
@@ -225,6 +227,25 @@ def test_a_second_parse_evaluates_no_annotations(monkeypatch):
 
 SECTIONS = {"synapse": SynapseConfig, "attractor": AttractorParams,
             "coupling": CouplingParams}
+
+
+@pytest.mark.parametrize("section,bad,match", [
+    ("synapse", {"substeps": 0}, "substeps must be >= 1"),
+    ("attractor", {"sigma": -1.0}, "sigma must be positive"),
+    ("coupling", {"R": 0}, "R must be >= 1"),
+])
+def test_settings_are_valid_by_construction(section, bad, match):
+    cls = SECTIONS[section]
+    with pytest.raises(ValueError, match=match):
+        cls(**bad)
+    # the sweep's per-seed copy is checked too
+    built = cls()
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(built, **bad)
+    ((name, value),) = bad.items()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(built, name, value)
+    assert built == cls()
 
 
 def _field_defaults(cls) -> dict:

@@ -58,13 +58,13 @@ def test_direction_vector_examples():
 
 def test_coupling_params_validation():
     assert CouplingParams().resolved_hold() == 12
-    assert CouplingParams(R=12, hold=2).validate().resolved_hold() == 2
+    assert CouplingParams(R=12, hold=2).resolved_hold() == 2
     with pytest.raises(ValueError):
-        CouplingParams(R=4, hold=6).validate()
+        CouplingParams(R=4, hold=6)
     with pytest.raises(ValueError):
-        CouplingParams(R=0).validate()
+        CouplingParams(R=0)
     with pytest.raises(ValueError):
-        CouplingParams(arrival_radius=0.5).validate()
+        CouplingParams(arrival_radius=0.5)
 
 
 def test_precondition_checks():

@@ -336,23 +336,23 @@ def test_sub_unit_range_builds_empty_excitatory_tables():
 
 def test_synapse_config_validation():
     with pytest.raises(ValueError):
-        SynapseConfig(s_ee_max=-1.0).validate()
+        SynapseConfig(s_ee_max=-1.0)
     with pytest.raises(ValueError):
-        SynapseConfig(s_ie_max=5.0).validate()
+        SynapseConfig(s_ie_max=5.0)
     with pytest.raises(ValueError):
-        SynapseConfig(d_e=0.0).validate()
+        SynapseConfig(d_e=0.0)
     with pytest.raises(ValueError):
-        SynapseConfig(metric="polar").validate()
+        SynapseConfig(metric="polar")
     with pytest.raises(ValueError):
-        SynapseConfig(substeps=0).validate()
+        SynapseConfig(substeps=0)
 
 
 def test_init_neurons_validates_its_config():
     m = build_manifold(5, 5)
     with pytest.raises(ValueError, match="substeps"):
         init_neurons(m, SynapseConfig(substeps=0))
-    state = init_neurons(m, SynapseConfig(substeps=3, v_floor=None, stim_dc=7.5))
-    assert (state.cfg.substeps, state.cfg.v_floor) == (3, None)
+    state = init_neurons(m, SynapseConfig(substeps=3, v_floor=-70.0, stim_dc=7.5))
+    assert (state.cfg.substeps, state.cfg.v_floor) == (3, -70.0)
     set_stimulus(state, m.index(2, 2), True)
     assert state.dc[m.index(2, 2)] == 7.5
 

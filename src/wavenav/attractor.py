@@ -67,12 +67,17 @@ def attractor_weight(i: int, j: int, delta, p: AttractorParams,
 
 
 class AttractorState:
-    """Activity field A, direction vector delta and per-axis kernel factors."""
+    """Activity field A, direction vector delta and per-axis kernel factors.
+
+    Each step replaces A by a new array and never writes the old one, so
+    an A handed to a caller keeps its values.
+    """
 
     def __init__(self, m: Manifold, p: AttractorParams):
         self.manifold = m
         self.params = p
         self.A = np.zeros(m.n)
+        self._blocked = np.flatnonzero(m.blocked)  # empty on an open grid
         self.delta = (0.0, 0.0)
         self._g = None
         # pairwise normalized offsets per axis, pre -> post
@@ -173,31 +178,38 @@ def step_attractor(state: AttractorState) -> AttractorState:
         raise BumpLostError("total activity is zero")
     p, m = state.params, state.manifold
     gx, gy = state.weights()
-    G = (gy.T @ state.A.reshape(m.ny, m.nx) @ gx).ravel()
-    A = np.maximum(p.J * G - p.T * total, 0.0)
-    A[m.blocked] = 0.0
+    # the operations of max(J * G - T * total, 0) / sum, in that order, on
+    # the one fresh product: a caller's old A is never written
+    A = (gy.T @ state.A.reshape(m.ny, m.nx) @ gx).ravel()
+    A *= p.J
+    A -= p.T * total
+    np.maximum(A, 0.0, out=A)
+    A[state._blocked] = 0.0
     with np.errstate(over="ignore"):
         total = A.sum()
     if not math.isfinite(total):
         raise BumpLostError(f"total activity is {total} after update")
     if total <= 0.0:
         raise BumpLostError("activity vanished after update")
-    state.A = A / total
+    A /= total
+    state.A = A
     return state
 
 
 def bump_center(state: AttractorState) -> int:
     """Node with maximal activity; ties break to the lowest index."""
-    if state.A.sum() <= 0.0:
+    center = int(np.argmax(state.A))
+    if not state.A[center] > 0.0:
         raise BumpLostError("total activity is zero")
-    return int(np.argmax(state.A))
+    return center
 
 
 def bump_footprint(state: AttractorState) -> np.ndarray:
     """Boolean mask of nodes with A >= half the maximum."""
-    if state.A.sum() <= 0.0:
+    peak = state.A.max()
+    if not peak > 0.0:
         raise BumpLostError("total activity is zero")
-    return state.A >= 0.5 * state.A.max()
+    return state.A >= 0.5 * peak
 
 
 def footprint_diameter(state: AttractorState) -> int:

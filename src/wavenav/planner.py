@@ -8,6 +8,11 @@ the first front reached earliest; advance the attractor; the vector is
 held for `hold` steps (default `R`) and then reset; stop when the bump
 center is within `arrival_radius` of the target.
 
+A step reads the lattice only where it must: the overlap is counted at
+this step's E spikes (the wave's `fired` list) against half the activity
+at the bump center, and the footprint mask and the aim are computed only
+on a hit.
+
 Aiming by the first front's arrival map, not by the live overlap,
 departs from the source paper and follows Ponulak & Hopfield (2013). It
 breaks a symmetric maze's mirror tie by node index, without noise.
@@ -118,19 +123,21 @@ def run_planner(m: Manifold, start: int, target: int,
 
     try:
         bump = init_bump(m, start, attractor_params)
+        center = bump_center(bump)  # A's argmax, so A[center] == A.max()
         path.append(m.coords(start))
         for t in range(coupling.max_steps):
             spikes_e, _ = step_wave(wave, tables)
-            fired = np.flatnonzero(spikes_e)
+            fired = wave.fired[:wave.fired.searchsorted(m.n)]
             first[fired[first[fired] < 0]] = t
             overlap_size = 0
             if t - last_hit >= coupling.R:
-                footprint = bump_footprint(bump)
-                overlap_size = int(np.count_nonzero(footprint & spikes_e))
-                mean = detect_overlap(footprint, spikes_e, first, m)
-                if mean is not None:
-                    bump.set_delta(direction_vector(mean, bump_center(bump), m))
-                    last_hit = t
+                # the footprint's nodes among this step's E spikes
+                overlap_size = int(np.count_nonzero(
+                    bump.A[fired] >= 0.5 * bump.A[center]))
+            if overlap_size:
+                mean = detect_overlap(bump_footprint(bump), spikes_e, first, m)
+                bump.set_delta(direction_vector(mean, center, m))
+                last_hit = t
             delta_used = bump.delta
             step_attractor(bump)
             if t - last_hit == hold - 1:

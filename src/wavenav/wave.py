@@ -15,9 +15,13 @@ from the spikes of step t-1. Membranes are integrated every step, but
 spikes travel as events along thin fronts: the input is summed from the
 fan-out rows of the neurons that spiked into a 2n vector the state keeps,
 and a step builds no lattice-sized float array but the (n+1)-long sums.
+The reset after a step touches only the neurons that fired, and their
+indices stay on the state (`fired`) for the planner. A step proves its
+membranes finite by two sums and rescans only when a sum is not finite.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,11 +124,14 @@ class WaveState:
 
     `v`, `u`, `a`, `b`, `c`, `d` and `spikes` have length 2n: entry
     k < n belongs to the E neuron of node k, entry n + k to its I
-    partner. `dc` (length n) is the direct current into each E neuron.
-    Blocked nodes keep state entries but have no synapses and may not
-    be stimulated, so they never spike. `cfg` is the SynapseConfig the
-    state was built from, the one record of its `substeps`, `v_floor`
-    (the floor every substep clamps all 2n membranes to) and `stim_dc`.
+    partner. `fired` lists the entries of `spikes` that are set, in
+    ascending order, as the last step left them; a step reads its input
+    from `spikes`, so callers may set spikes there. `dc` (length n) is
+    the direct current into each E neuron. Blocked nodes keep state
+    entries but have no synapses and may not be stimulated, so they
+    never spike. `cfg` is the SynapseConfig the state was built from,
+    the one record of its `substeps`, `v_floor` (the floor every substep
+    clamps all 2n membranes to) and `stim_dc`.
     """
 
     def __init__(self, m: Manifold, a: np.ndarray, b: np.ndarray,
@@ -135,6 +142,7 @@ class WaveState:
         self.u = b * self.v
         self.dc = np.zeros(m.n)
         self.spikes = np.zeros(2 * m.n, dtype=bool)
+        self.fired = np.flatnonzero(self.spikes)
         self.cfg = cfg
         # synaptic input and Euler scratch, reused by every step
         self._in = np.empty(2 * m.n)
@@ -235,11 +243,16 @@ def step_wave(state: WaveState, tables: SynapseTables):
             u += dv
             np.maximum(v, v_floor, out=v)
 
-    _check_finite(v, "v", n)
-    _check_finite(u, "u", n)
+        # a finite sum proves every entry finite; only a non-finite one
+        # (an entry, or an overflowing sum of finite entries) rescans
+        if not math.isfinite(v.sum()):
+            _check_finite(v, "v", n)
+        if not math.isfinite(u.sum()):
+            _check_finite(u, "u", n)
 
     s = v >= 30.0
-    np.copyto(v, state.c, where=s)
-    np.add(u, state.d, out=u, where=s)
-    state.spikes = s
+    fired = np.flatnonzero(s)
+    v[fired] = state.c[fired]
+    u[fired] += state.d[fired]
+    state.spikes, state.fired = s, fired
     return s[:n], s[n:]

@@ -180,6 +180,33 @@ def test_memory_grows_with_the_axes_not_the_node_count():
     assert max(a.size for a in held) <= max(m.n, m.nx ** 2, m.ny ** 2)
 
 
+def test_step_allocates_about_one_lattice_vector():
+    """No step's traced peak reaches 2.5 vectors of n doubles.
+
+    With its factors cached, a step's one lasting allocation is the new
+    A: the product's fresh result, which the rest of the update rewrites
+    in place. Only the inner gy^T A lives beside it, while the second
+    gemm runs. A step that kept the product, J * G, the difference, the
+    clip and A / total as separate arrays would peak near three.
+    """
+    m = build_manifold(81, 81)
+    state = init_bump(m, m.index(40, 40), AttractorParams())
+    state.set_delta((0.02, 0.01))
+    step_attractor(state)  # builds the factors for this delta
+    vector = m.n * np.dtype(float).itemsize
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(20):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            step_attractor(state)
+            peaks.append((tracemalloc.get_traced_memory()[1] - before) / vector)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 2.5, (int(np.argmax(peaks)), max(peaks))
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         AttractorParams(sigma=0.0)

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from conftest import load_scenario
 
-from wavenav.attractor import AttractorParams
+from wavenav.attractor import AttractorParams, init_bump
 from wavenav.manifold import build_manifold, euclidean_distance
 from wavenav.oracle import geometric_length
 from wavenav.planner import (CouplingParams, detect_overlap, direction_vector,
                              path_length, run_planner)
+from wavenav.wave import SynapseConfig
 
 
 def mask_of(m, coords):
@@ -187,6 +189,55 @@ def test_displacement_per_front_bounded_by_half_width():
         bx, by = m.coords(centers[b.t])
         moved = math.hypot(bx - ax, by - ay)
         assert moved <= 0.5 * widths[a.t] + 1e-9
+
+
+def fast_path_case(name):
+    """(m, start, target, synapse, attractor, coupling) of a run the
+    golden rows do not pin."""
+    if name == "31x23_obstacle_hold_3":
+        m = build_manifold(31, 23, obstacles=[(13, 0, 16, 14)])
+        return (m, m.index(4, 4), m.index(26, 6), SynapseConfig(),
+                AttractorParams(sigma=0.031),
+                CouplingParams(R=8, hold=3, max_steps=800))
+    cfg = load_scenario("block_heterogeneous", seed=4)
+    m = cfg.manifold
+    return (m, m.index(*cfg.start), m.index(*cfg.targets[0]), cfg.synapse,
+            cfg.attractor, cfg.coupling)
+
+
+@pytest.mark.parametrize("name", ["31x23_obstacle_hold_3",
+                                  "block_heterogeneous_seed_4"])
+def test_overlap_read_at_the_spikes_is_the_footprint_overlap(name):
+    """Each record's overlap_size is |footprint of the previous A ∩ E
+    spikes| on the steps that looked for a front, and 0 on the others;
+    every frame gets its own activity array, never written again."""
+    m, start, target, synapse, attractor, coupling = fast_path_case(name)
+    frames, copies = [], []
+
+    def write_frame(t, spikes_e, activity):
+        frames.append((spikes_e.copy(), activity))
+        copies.append(activity.copy())
+
+    result = run_planner(m, start, target, synapse, attractor, coupling,
+                         write_frame=write_frame)
+    assert len(frames) == len(result.trajectory)
+    prev = init_bump(m, start, attractor).A  # what the run's first step saw
+    last_hit, looked = -coupling.R, 0
+    for rec, (spikes_e, activity) in zip(result.trajectory, frames):
+        expected = 0
+        if rec.t - last_hit >= coupling.R:
+            looked += 1
+            expected = int(np.count_nonzero(
+                (prev >= 0.5 * prev.max()) & spikes_e))
+            assert rec.wavefront_hit == (expected > 0), rec.t
+        assert rec.overlap_size == expected, rec.t
+        if rec.wavefront_hit:
+            last_hit = rec.t
+        prev = activity
+    assert result.wavefronts_used >= 2 and looked > result.wavefronts_used
+    assert len({id(activity) for _, activity in frames}) == len(frames)
+    for (_, activity), copy in zip(frames, copies):
+        assert np.array_equal(activity, copy)
 
 
 def test_block_maze_tie_break_is_deterministic():

@@ -494,9 +494,26 @@ def test_obstacles_are_opaque():
 def test_non_finite_state_raises_with_node():
     m = build_manifold(5, 5)
     tables = build_synapses(m)
-    for neuron in (7, m.n + 7):  # the E and the I neuron of node 7
+    # v of the E and the I neuron of node 7, and u of the I neuron
+    for var, neuron in (("v", 7), ("v", m.n + 7), ("u", m.n + 7)):
         state = init_neurons(m)
-        state.v[neuron] = np.inf
-        with pytest.raises(NumericalError) as err:
+        getattr(state, var)[neuron] = np.inf
+        with pytest.raises(NumericalError, match="at node 7$") as err:
             step_wave(state, tables)
         assert err.value.node == 7
+
+
+def test_finite_state_whose_sum_overflows_passes_without_warning():
+    # two E neurons driven to about 1e308 by huge negative recovery
+    # variables: every v and u stays finite, but both sums overflow, so
+    # the check rescans and finds nothing (a RuntimeWarning would fail)
+    m = build_manifold(5, 5)
+    cfg = SynapseConfig(substeps=1)
+    tables = build_synapses(m, cfg)
+    state = init_neurons(m, cfg)
+    state.u[[3, 11]] = -1e308
+    se, _ = step_wave(state, tables)
+    assert np.flatnonzero(se).tolist() == [3, 11]
+    assert np.isfinite(state.v).all() and np.isfinite(state.u).all()
+    with np.errstate(over="ignore"):
+        assert state.u.sum() == -np.inf

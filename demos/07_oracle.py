@@ -10,7 +10,7 @@ the simulator is compared against.
 import math
 
 from wavenav import FIFO, LIFO, build_manifold, build_graph
-from wavenav import geometric_length, hop_count, shortest_path, traverse
+from wavenav import geometric_length, shortest_path, traverse
 
 m = build_manifold(41, 41, obstacles=[(0, 13, 30, 14), (10, 26, 40, 27)])
 g4 = build_graph(m, radius=1.0)            # 4-connectivity
@@ -20,9 +20,9 @@ s, t = m.index(4, 4), m.index(36, 36)
 p4 = shortest_path(g4, s, t)
 p8 = shortest_path(g8, s, t)
 print("S maze, (4,4) to (36,36)")
-print(f"  4-connected: {hop_count(p4)} hops,",
+print(f"  4-connected: {len(p4) - 1} hops,",
       f"length {geometric_length(p4, m):.2f}")
-print(f"  8-connected: {hop_count(p8)} hops,",
+print(f"  8-connected: {len(p8) - 1} hops,",
       f"length {geometric_length(p8, m):.2f}")
 
 # the same routine with a LIFO frontier is depth-first search: it

@@ -16,7 +16,7 @@ written, or a write or close that fails, as on a full disk), 4
 numerical failure (bump lost, a warm-up that leaves no single bump, or
 non-finite neuron state). A sweep exits 0 if any of its runs succeeds;
 otherwise it exits with the highest code among its runs' outcomes (4
-if any run lost the bump, else 2).
+if any run lost the bump or failed numerically, else 2).
 """
 from __future__ import annotations
 
@@ -39,6 +39,8 @@ EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
 EXIT_CODES = {REACHED: EXIT_OK, WAVE_COMPLETED: EXIT_OK,
               EXHAUSTED: EXIT_EXHAUSTED, BUMP_LOST: EXIT_NUMERICAL}
+# a sweep run that raised NumericalError; it has no record and no steps
+NUMERICAL_FAILURE = "numerical_failure"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -154,7 +156,17 @@ def _cmd_sweep(args) -> int:
     for seed in seeds:
         cfg = dataclasses.replace(
             base, synapse=dataclasses.replace(base.synapse, seed=seed))
-        _, record = run_scenario(cfg, out_dir=os.path.join(out_root, f"seed_{seed}"))
+        try:
+            _, record = run_scenario(
+                cfg, out_dir=os.path.join(out_root, f"seed_{seed}"))
+        except NumericalError as e:
+            # ends this seed's run, not the sweep
+            print(f"seed {seed}: numerical failure: {e}", file=sys.stderr)
+            rows.append(f"{iomod.csv_field(cfg.name)},{seed},"
+                        f"{NUMERICAL_FAILURE},")
+            print(f"seed {seed}: {NUMERICAL_FAILURE}")
+            exit_code = max(exit_code, EXIT_NUMERICAL)
+            continue
         rows.append(f"{iomod.csv_field(record.name)},{seed},{record.outcome},"
                     f"{record.steps}")
         if record.outcome == success:

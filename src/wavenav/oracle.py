@@ -64,10 +64,6 @@ def shortest_path(g: sp.csr_matrix, s: int, t: int):
     return path
 
 
-def hop_count(path) -> int:
-    return len(path) - 1
-
-
 def geometric_length(path, m: Manifold) -> float:
     """Sum of Euclidean hop lengths (diagonal hops count sqrt(2))."""
     return route_length([m.coords(k) for k in path])

@@ -37,19 +37,18 @@ BUMP_LOST = "bump_lost"
 @dataclass(frozen=True)
 class CouplingParams:
     R: int = 12
-    hold: int | None = None  # defaults to R
+    hold: int | None = None  # None means R, and is set to it when built
     arrival_radius: float = 2.0
     max_steps: int = 1000
 
-    def resolved_hold(self) -> int:
-        return self.R if self.hold is None else self.hold
-
     def __post_init__(self):
+        if self.hold is None:
+            object.__setattr__(self, "hold", self.R)
         if self.R < 1:
             raise ValueError("R must be >= 1")
-        if self.resolved_hold() > self.R:
+        if self.hold > self.R:
             raise ValueError("hold must not exceed R")
-        if self.resolved_hold() < 1:
+        if self.hold < 1:
             raise ValueError("hold must be >= 1")
         if self.arrival_radius < 1:
             raise ValueError("arrival_radius must be >= 1")
@@ -76,15 +75,12 @@ class PlanResult:
     lost: str | None = None  # why the bump was lost, with outcome BUMP_LOST
 
 
-def detect_overlap(c_mask: np.ndarray, p_mask: np.ndarray,
-                   first: np.ndarray, m: Manifold):
-    """Mean (x, y) a front hit aims at, or None if the footprint `c_mask`
-    and the front `p_mask` do not meet: the footprint nodes with the
-    earliest first-spike step in `first` (-1 before one), and of several
-    8-connected groups of them the group that holds the lowest node index.
+def detect_overlap(c_mask: np.ndarray, first: np.ndarray, m: Manifold):
+    """Mean (x, y) a front hit on the footprint `c_mask` aims at: the
+    footprint nodes with the earliest first-spike step in `first` (-1
+    before one; a hit has spiked at least one), and of several 8-connected
+    groups of them the group that holds the lowest node index.
     """
-    if not (c_mask & p_mask).any():
-        return None
     reached = c_mask & (first >= 0)
     earliest = reached & (first == first[reached].min())
     nodes = components(earliest.reshape(m.ny, m.nx))[0]
@@ -114,7 +110,6 @@ def run_planner(m: Manifold, start: int, target: int,
     tables = build_synapses(m, synapse_cfg)
     set_stimulus(wave, target, True)
 
-    hold = coupling.resolved_hold()
     last_hit = -coupling.R  # the step of the latest front hit
     first = np.full(m.n, -1, dtype=np.int32)  # first E-spike step per node
     trajectory: list[StepRecord] = []
@@ -135,12 +130,12 @@ def run_planner(m: Manifold, start: int, target: int,
                 overlap_size = int(np.count_nonzero(
                     bump.A[fired] >= 0.5 * bump.A[center]))
             if overlap_size:
-                mean = detect_overlap(bump_footprint(bump), spikes_e, first, m)
+                mean = detect_overlap(bump_footprint(bump), first, m)
                 bump.set_delta(direction_vector(mean, center, m))
                 last_hit = t
             delta_used = bump.delta
             step_attractor(bump)
-            if t - last_hit == hold - 1:
+            if t - last_hit == coupling.hold - 1:
                 bump.set_delta((0.0, 0.0))
             center = bump_center(bump)
             trajectory.append(StepRecord(

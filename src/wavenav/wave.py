@@ -15,9 +15,9 @@ from the spikes of step t-1. Membranes are integrated every step, but
 spikes travel as events along thin fronts: the input is summed from the
 fan-out rows of the neurons that spiked into a 2n vector the state keeps,
 and a step builds no lattice-sized float array but the (n+1)-long sums.
-The reset after a step touches only the neurons that fired, and their
-indices stay on the state (`fired`) for the planner. A step proves its
-membranes finite by two sums and rescans only when a sum is not finite.
+The reset touches only the neurons that fired, whose indices (`fired`)
+are the next step's input and the planner's spikes. Two sums prove the
+membranes finite; only a non-finite sum rescans.
 """
 from __future__ import annotations
 
@@ -122,11 +122,11 @@ def build_synapses(m: Manifold, cfg: SynapseConfig = SynapseConfig()) -> Synapse
 class WaveState:
     """Izhikevich state and parameters of both populations, stacked.
 
-    `v`, `u`, `a`, `b`, `c`, `d` and `spikes` have length 2n: entry
-    k < n belongs to the E neuron of node k, entry n + k to its I
-    partner. `fired` lists the entries of `spikes` that are set, in
-    ascending order, as the last step left them; a step reads its input
-    from `spikes`, so callers may set spikes there. `dc` (length n) is
+    `v`, `u`, `a`, `b`, `c` and `d` have length 2n: entry k < n belongs
+    to the E neuron of node k, entry n + k to its I partner. `fired`, the
+    one record of spikes, lists in ascending order the entries that spiked
+    in the last step (none at rest); the next step reads its input from
+    it, so callers inject spikes by setting `fired`. `dc` (length n) is
     the direct current into each E neuron. Blocked nodes keep state
     entries but have no synapses and may not be stimulated, so they
     never spike. `cfg` is the SynapseConfig the state was built from,
@@ -141,8 +141,7 @@ class WaveState:
         self.v = c.copy()
         self.u = b * self.v
         self.dc = np.zeros(m.n)
-        self.spikes = np.zeros(2 * m.n, dtype=bool)
-        self.fired = np.flatnonzero(self.spikes)
+        self.fired = np.empty(0, dtype=np.intp)
         self.cfg = cfg
         # synaptic input and Euler scratch, reused by every step
         self._in = np.empty(2 * m.n)
@@ -204,12 +203,12 @@ def _post_sums(rows: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
 def step_wave(state: WaveState, tables: SynapseTables):
     """Advance both populations by one 1 ms step.
 
-    Input currents come from the previous step's spikes, through the
-    fan-out rows of the neurons that spiked. Returns the boolean spike
-    masks (excitatory, inhibitory) of this step, each of length n.
+    Input currents come from the previous step's spikes (`state.fired`)
+    through their fan-out rows; this step's spikes replace them there.
+    Returns the boolean spike masks (excitatory, inhibitory), each of length n.
     """
     n = state.manifold.n
-    fired = np.flatnonzero(state.spikes)
+    fired = state.fired
     split = fired.searchsorted(n)
     e_rows = tables.e_posts[fired[:split]]
     # e->e, then i->e: one sum over both would reorder terms and move v's last bits
@@ -251,8 +250,7 @@ def step_wave(state: WaveState, tables: SynapseTables):
             _check_finite(u, "u", n)
 
     s = v >= 30.0
-    fired = np.flatnonzero(s)
+    state.fired = fired = np.flatnonzero(s)
     v[fired] = state.c[fired]
     u[fired] += state.d[fired]
-    state.spikes, state.fired = s, fired
     return s[:n], s[n:]

@@ -189,6 +189,23 @@ def test_sweep_with_every_bump_lost_exits_four(tmp_path, capsys):
             "bump_lost", "bump_lost"]
 
 
+def test_sweep_goes_on_after_a_numerical_failure(tmp_path, capsys):
+    # a non-finite wave ends its seed's run: each seed gets a row with
+    # no steps, and the sweep exits 4 as none succeeded
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", scenario_path("block_heterogeneous"), "--seeds",
+                 "0..1", "--set", "synapse.stim_dc=1e200", "--out", out]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"seed {seed}: numerical failure: non-finite v at node 856"
+        for seed in (0, 1)]
+    assert captured.out.splitlines()[-1] == "reached 0/2"
+    with open(os.path.join(out, "sweep.csv")) as fh:
+        assert fh.read().splitlines()[1:] == [
+            "block_heterogeneous,0,numerical_failure,",
+            "block_heterogeneous,1,numerical_failure,"]
+
+
 def test_out_that_cannot_be_a_directory_exit_three(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_bytes(b"not a directory")

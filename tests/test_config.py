@@ -106,6 +106,12 @@ def test_type_checks():
         parse_config(json.dumps(raw))
 
 
+def test_null_hold_means_r():
+    raw = json.loads(MINIMAL)
+    raw["coupling"] = {"R": 8, "hold": None}
+    assert parse_config(json.dumps(raw)).coupling.hold == 8
+
+
 def test_invalid_parameter_combinations():
     raw = json.loads(MINIMAL)
     raw["coupling"] = {"R": 4, "hold": 9}

@@ -1,14 +1,16 @@
-"""Golden outputs of `wavenav verify`, byte for byte.
+"""Golden outputs of `wavenav verify` and `wavenav render`, byte for byte.
 
 Speed work on the wave and attractor layers keeps every output
 byte-identical. This table pins the sha256 of `trajectory.csv` and the
 report row for the bundled mazes, for `block` with start and target
 swapped, and for `block_heterogeneous` at seeds 0-2, so that any changed bit of a run fails here. Two generated
 lattices, written to a temporary config, pin larger grids, where more of
-the attractor factors' tails fall below `attractor.KERNEL_FLOOR`. A
-change that means to alter outputs updates the table and names each
-changed artifact.
+the attractor factors' tails fall below `attractor.KERNEL_FLOOR`. Two
+renders pin frames: a wave-only run and a traversal, whose frames
+carry the bump's activity. A change that means to alter outputs updates
+the tables and names each changed artifact.
 """
+import glob
 import hashlib
 import json
 import os
@@ -85,3 +87,29 @@ def test_verify_outputs_are_golden(name, extra, trajectory_sha256, row,
         assert hashlib.sha256(fh.read()).hexdigest() == trajectory_sha256
     with open(os.path.join(out, "report.csv"), encoding="utf-8") as fh:
         assert fh.read().splitlines()[1:] == [row]
+
+
+# one row per render: (scenario, extra render arguments, frame count,
+# sha256 over trajectory.csv and then every frame in step order)
+RENDERS = [
+    ("two_sources", ["--max-steps", "120", "--frame-stride", "10"], 12,
+     "0257503323cb1efbde8bf52bbbee0e3a37d1f55f243ae8a49c963fdfa977f339"),
+    ("simple", ["--frame-stride", "50"], 7,
+     "c691bfbd2bcc08c49f0a662d41b2afc2d4fa78efd53e02f6662ae6be289c7264"),
+]
+
+
+@pytest.mark.parametrize("name,extra,frames,sha256", RENDERS,
+                         ids=[row[0] for row in RENDERS])
+def test_render_outputs_are_golden(name, extra, frames, sha256, tmp_path,
+                                   capsys):
+    out = str(tmp_path / "out")
+    assert main(["render", scenario_path(name), "--out", out, *extra]) == 0
+    capsys.readouterr()
+    paths = sorted(glob.glob(os.path.join(out, "frame_*.pgm")))
+    assert len(paths) == frames
+    digest = hashlib.sha256()
+    for path in [os.path.join(out, "trajectory.csv"), *paths]:
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+    assert digest.hexdigest() == sha256

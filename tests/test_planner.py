@@ -30,23 +30,20 @@ def first_of(m, steps):
 def test_detect_overlap_examples():
     m = build_manifold(41, 41)
     c = mask_of(m, [(10, 10), (11, 10)])
-    p = mask_of(m, [(11, 10), (12, 10)])
     first = first_of(m, {(11, 10): 7, (12, 10): 7})
-    assert detect_overlap(c, p, first, m) == (11.0, 10.0)
-    assert detect_overlap(c, mask_of(m, [(30, 30)]), first, m) is None
+    assert detect_overlap(c, first, m) == (11.0, 10.0)
     # the aim is the footprint's earliest arrivals, not the live overlap
     first = first_of(m, {(10, 10): 3, (11, 10): 7, (12, 10): 7})
-    assert detect_overlap(c, p, first, m) == (10.0, 10.0)
+    assert detect_overlap(c, first, m) == (10.0, 10.0)
     both = mask_of(m, [(3, 4), (4, 4), (5, 4)])
     first = first_of(m, {(3, 4): 5, (4, 4): 5, (5, 4): 5})
-    assert detect_overlap(both, both, first, m) == (4.0, 4.0)
+    assert detect_overlap(both, first, m) == (4.0, 4.0)
     # a mirror tie: two equal earliest groups on either side of a block;
     # the aim goes to the one that holds the lowest node index
     c = mask_of(m, [(x, y) for x in range(17, 24) for y in range(10, 17)])
-    p = mask_of(m, [(20, 10), (21, 10), (20, 16), (21, 16)])
     first = first_of(m, {(20, 10): 40, (21, 10): 40, (20, 16): 40,
                          (21, 16): 40, (19, 13): 50})
-    assert detect_overlap(c, p, first, m) == (20.5, 10.0)
+    assert detect_overlap(c, first, m) == (20.5, 10.0)
 
 
 def test_direction_vector_examples():
@@ -59,8 +56,9 @@ def test_direction_vector_examples():
 
 
 def test_coupling_params_validation():
-    assert CouplingParams().resolved_hold() == 12
-    assert CouplingParams(R=12, hold=2).resolved_hold() == 2
+    assert CouplingParams().hold == 12
+    assert CouplingParams(R=8).hold == 8
+    assert CouplingParams(R=12, hold=2).hold == 2
     with pytest.raises(ValueError):
         CouplingParams(R=4, hold=6)
     with pytest.raises(ValueError):
@@ -129,7 +127,7 @@ def assert_coupling_windows(result, coupling):
     assert hits
     assert all(b.t - a.t >= coupling.R for a, b in zip(hits, hits[1:]))
     held = {t: hit.delta for hit in hits
-            for t in range(hit.t, hit.t + coupling.resolved_hold())}
+            for t in range(hit.t, hit.t + coupling.hold)}
     for rec in result.trajectory:
         assert rec.delta == held.get(rec.t, (0.0, 0.0)), rec.t
     assert result.wavefronts_used == len(hits)
@@ -137,12 +135,12 @@ def assert_coupling_windows(result, coupling):
 
 def test_refractory_and_hold_windows(simple_result):
     cfg, result, _ = simple_result
-    assert cfg.coupling.resolved_hold() == 2 < cfg.coupling.R
+    assert cfg.coupling.hold == 2 < cfg.coupling.R
     assert_coupling_windows(result, cfg.coupling)
     # hold left at its default, R: delta is held for the whole window
     m = build_manifold(21, 21)
     coupling = CouplingParams(max_steps=400)
-    assert coupling.hold is None
+    assert coupling.hold == coupling.R
     result = run_planner(m, m.index(2, 2), m.index(18, 18),
                          attractor_params=AttractorParams(sigma=0.031),
                          coupling=coupling)

@@ -101,8 +101,8 @@ def population_reference(state, tables, steps):
     """Step E and I as two separate populations, the pre-stacking scheme,
     with input from CSR products over the whole spike vectors.
 
-    Starts from the state's spikes; yields (v_e, u_e, v_i, u_i) after
-    every step.
+    Starts from the state's spikes (`fired`); yields (v_e, u_e, v_i, u_i)
+    after every step.
     """
     n = state.manifold.n
     ee, ei, ie = (sp.csr_matrix(mat) for mat in dense_tables(tables))
@@ -110,7 +110,9 @@ def population_reference(state, tables, steps):
     a_i, b_i, c_i, d_i = (p[n:] for p in (state.a, state.b, state.c, state.d))
     v_e, u_e = state.v[:n].copy(), state.u[:n].copy()
     v_i, u_i = state.v[n:].copy(), state.u[n:].copy()
-    se, si = state.spikes[:n].copy(), state.spikes[n:].copy()
+    spikes = np.zeros(2 * n, dtype=bool)
+    spikes[state.fired] = True
+    se, si = spikes[:n], spikes[n:]
     h = 1.0 / state.cfg.substeps
     for _ in range(steps):
         fe, fi = se.astype(float), si.astype(float)
@@ -135,7 +137,6 @@ def assert_steps_match_reference(state, tables, steps):
     """Run `step_wave` beside the reference; v and u must agree to the
     bit after every step. Returns the (E, I) spike counts."""
     reference = population_reference(state, tables, steps)
-    n = state.manifold.n
     fired_e = fired_i = 0
     for t, (v_e, u_e, v_i, u_i) in enumerate(reference):
         se, si = step_wave(state, tables)
@@ -143,8 +144,7 @@ def assert_steps_match_reference(state, tables, steps):
         fired_i += int(si.sum())
         assert np.array_equal(state.v, np.concatenate((v_e, v_i))), t
         assert np.array_equal(state.u, np.concatenate((u_e, u_i))), t
-        assert np.array_equal(se, state.spikes[:n])
-        assert np.array_equal(si, state.spikes[n:])
+        assert np.array_equal(state.fired, np.flatnonzero(np.concatenate((se, si))))
     return fired_e, fired_i
 
 
@@ -171,11 +171,8 @@ def test_step_with_one_silent_population_matches_reference(metric, silent):
     n = m.n
     rng = np.random.default_rng(5)
     state.v += rng.uniform(0.0, 60.0, 2 * n)
-    fired = rng.random(n) < 0.2
-    if silent == "E":
-        state.spikes[n:] = fired
-    else:
-        state.spikes[:n] = fired
+    fired = np.flatnonzero(rng.random(n) < 0.2)
+    state.fired = fired + n if silent == "E" else fired
     assert_steps_match_reference(state, tables, 20)
 
 
@@ -203,9 +200,28 @@ def test_one_step_matches_csr_reference_property(data, nx, ny, metric, d_e, d_i)
     m = build_manifold(nx, ny, obstacles=[(x0, y0, x1, y1)])
     tables = build_synapses(m, SynapseConfig(d_e=d_e, d_i=d_i, metric=metric))
     state = init_neurons(m)
-    state.spikes = np.array(data.draw(st.lists(
+    state.fired = np.flatnonzero(data.draw(st.lists(
         st.booleans(), min_size=2 * m.n, max_size=2 * m.n)))
     assert_steps_match_reference(state, tables, 1)
+
+
+def test_fired_drives_the_next_step():
+    """The input a step sums is the CSR product over `state.fired`."""
+    m = build_manifold(21, 21, obstacles=[(12, 3, 13, 15)])
+    tables = build_synapses(m, SynapseConfig(d_e=3.0, d_i=3.0))
+    state = init_neurons(m)
+    set_stimulus(state, m.index(5, 10), True)
+    n = m.n
+    e_nodes = [m.index(x, 10) for x in (4, 5, 6, 11)]
+    i_nodes = [m.index(x, 11) for x in (5, 6, 14)]
+    state.fired = np.array(sorted(e_nodes) + [n + k for k in sorted(i_nodes)])
+    fe, fi = np.zeros(n), np.zeros(n)
+    fe[e_nodes], fi[i_nodes] = 1.0, 1.0
+    ee, ei, ie = (sp.csr_matrix(mat) for mat in dense_tables(tables))
+    step_wave(state, tables)
+    assert np.array_equal(state._in[:n], state.dc + ee @ fe + ie @ fi)
+    assert np.array_equal(state._in[n:], ei @ fe)
+    assert state._in[n:].any()
 
 
 def test_rest_is_silent_for_1e5_steps():
@@ -223,11 +239,11 @@ def test_initial_state_is_rest():
     m = build_manifold(5, 5)
     state = init_neurons(m)
     n = m.n
-    assert state.v.shape == state.u.shape == state.spikes.shape == (2 * n,)
+    assert state.v.shape == state.u.shape == (2 * n,)
     assert np.all(state.v == -65.0)
     assert np.all(state.u[:n] == -13.0)
     assert np.all(state.u[n:] == pytest.approx(-13.0))
-    assert not state.spikes.any()
+    assert state.fired.dtype == np.intp and state.fired.size == 0
     assert state.dc.shape == (n,) and np.all(state.dc == 0.0)
 
 
@@ -411,7 +427,7 @@ def test_step_allocates_under_one_and_a_half_state_vectors():
             peaks.append((tracemalloc.get_traced_memory()[1] - before) / vector)
     finally:
         tracemalloc.stop()
-    assert state.spikes.any()
+    assert state.fired.size
     assert max(peaks) < 1.5, (int(np.argmax(peaks)), max(peaks))
 
 
